@@ -86,28 +86,23 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckProgram measures whole-program verdicts: "streaming" is
-// the default pipeline (POR enumeration feeding parallel Analyze
-// workers), "materialize" collects every execution first and analyzes
-// serially. Both already use the bitset kernels; EXPERIMENTS.md records
-// the pre-bitset serial baseline these are gated against.
+// BenchmarkCheckProgram measures whole-program verdicts through the
+// default pipeline: POR enumeration streaming into parallel Analyze
+// workers. EXPERIMENTS.md records the pre-bitset serial baseline.
 func BenchmarkCheckProgram(b *testing.B) {
 	for _, name := range []string{"WorkQueue", "Seqlocks", "Flags_2", "IRIW"} {
 		tc := litmus.ByName(name)
 		if tc == nil {
 			b.Fatalf("no suite program named %q", name)
 		}
-		for _, mode := range []string{"streaming", "materialize"} {
-			b.Run(name+"/"+mode, func(b *testing.B) {
-				b.ReportAllocs()
-				opts := CheckOptions{Materialize: mode == "materialize"}
-				for i := 0; i < b.N; i++ {
-					if _, err := CheckProgramWith(tc.Prog, core.DRFrlx, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(name+"/streaming", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := CheckProgram(tc.Prog, core.DRFrlx); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 		// Enabled-telemetry streaming variant: one fresh check per
 		// iteration, matching how a sweep instruments each verdict.
 		b.Run(name+"/streaming+tel", func(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,6 +39,12 @@ type Canonical struct {
 	ThreadOf []int
 	// LocOf maps canonical location name -> original location name.
 	LocOf map[litmus.Loc]litmus.Loc
+	// Classes are Prog's thread-symmetry classes: canonical thread
+	// indices grouped by identical normalized op lists and register
+	// counts, each class ascending, classes in order of first member.
+	// Permuting the threads of a class is a program automorphism, so
+	// searches may treat them as interchangeable.
+	Classes [][]int
 }
 
 // refineRounds is how many label-refinement iterations Canonicalize runs.
@@ -153,12 +160,37 @@ func Canonicalize(p *litmus.Program) (*Canonical, error) {
 		}
 		dst.SetNumRegs(src.NumRegs())
 	}
-	sum := sha256.Sum256([]byte(litmus.Format(cp)))
+	// Symmetry classes by exact identity; equal refinement signatures are
+	// necessary for it, so they filter the comparisons.
+	var classes [][]int
+next:
+	for ci, th := range cp.Threads {
+		for k, cl := range classes {
+			rep := cp.Threads[cl[0]]
+			if tsigs[order[cl[0]]] == tsigs[order[ci]] && rep.NumRegs() == th.NumRegs() && reflect.DeepEqual(rep.Ops, th.Ops) {
+				classes[k] = append(cl, ci)
+				continue next
+			}
+		}
+		classes = append(classes, []int{ci})
+	}
+	text := litmus.Format(cp)
+	// The text form has no syntax for address dependencies: key them too,
+	// so programs that differ only there never share a key.
+	for ti, th := range cp.Threads {
+		for oi, o := range th.Ops {
+			if len(o.AddrDeps) > 0 {
+				text += fmt.Sprintf("addr %d.%d %v\n", ti, oi, o.AddrDeps)
+			}
+		}
+	}
+	sum := sha256.Sum256([]byte(text))
 	return &Canonical{
 		Prog:     cp,
 		Key:      hex.EncodeToString(sum[:]),
 		ThreadOf: order,
 		LocOf:    locOf,
+		Classes:  classes,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -190,6 +191,128 @@ func TestRewriteVerdictMatchesDirectCheck(t *testing.T) {
 			if !reflect.DeepEqual(got, direct) {
 				t.Errorf("%s/%s: rewritten verdict differs from direct check\n  rewritten: %+v\n  direct:    %+v", name, m, got, direct)
 			}
+		}
+	}
+}
+
+// withTwin returns a copy of p with thread 0 appended again, so the
+// canonical program has a non-trivial symmetry class.
+func withTwin(p *litmus.Program) *litmus.Program {
+	perm := make([]int, len(p.Threads)+1)
+	for i := range p.Threads {
+		perm[i] = i
+	}
+	return permuteRename(p, perm, nil)
+}
+
+// TestCanonicalClassesAreExact is the property test of the symmetry
+// classes: on the catalog (with and without a twin thread) and random
+// programs, the classes partition the canonical threads, every member of
+// a class has a byte-equal full signature (register count plus every op
+// field, printed with %#v so no Stringer can hide one), and threads with
+// equal full signatures share a class.
+func TestCanonicalClassesAreExact(t *testing.T) {
+	var progs []*litmus.Program
+	for _, tc := range litmus.Suite() {
+		progs = append(progs, tc.Prog, withTwin(tc.Prog))
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		progs = append(progs, randomProgram(seed))
+	}
+	for _, p := range progs {
+		c, err := Canonicalize(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		sig := func(ti int) string {
+			th := c.Prog.Threads[ti]
+			return fmt.Sprintf("%d %#v", th.NumRegs(), th.Ops)
+		}
+		classOf := map[int]int{}
+		for ci, cl := range c.Classes {
+			for _, ti := range cl {
+				if _, dup := classOf[ti]; dup {
+					t.Fatalf("%s: thread %d in two classes: %v", p.Name, ti, c.Classes)
+				}
+				classOf[ti] = ci
+				if sig(ti) != sig(cl[0]) {
+					t.Errorf("%s: class %v mixes threads %d and %d:\n%s\n%s", p.Name, cl, cl[0], ti, sig(cl[0]), sig(ti))
+				}
+			}
+		}
+		if len(classOf) != len(c.Prog.Threads) {
+			t.Fatalf("%s: classes %v do not cover %d threads", p.Name, c.Classes, len(c.Prog.Threads))
+		}
+		for a := range c.Prog.Threads {
+			for b := a + 1; b < len(c.Prog.Threads); b++ {
+				if sig(a) == sig(b) && classOf[a] != classOf[b] {
+					t.Errorf("%s: identical threads %d and %d split across classes %v", p.Name, a, b, c.Classes)
+				}
+			}
+		}
+	}
+}
+
+// TestCanonicalMutationsSeparate is the mutation test of canonicalization:
+// starting from a program of two identical threads (one symmetry class),
+// changing any single semantic field of one op of one thread must split
+// the class and change the canonical key.
+func TestCanonicalMutationsSeparate(t *testing.T) {
+	build := func() *litmus.Program {
+		p := litmus.New("twins")
+		for _, name := range []string{"a", "b"} {
+			th := p.Thread(name)
+			r0 := th.Load("F", core.Unpaired)    // op 0
+			r1 := th.LoadDep("X", r0, core.Data) // op 1
+			th.WithGuards(litmus.NZ(r0), litmus.EQConst(r1, 1))
+			th.Store("Y", 1, core.Data) // op 2
+			th.EndGuards()
+			th.CAS("Z", 0, 1, core.Paired)                                              // op 3
+			th.Use(r1)                                                                  // op 4
+			th.StoreExpr("X", litmus.Expr{Const: 2, Regs: []litmus.Reg{r1}}, core.Data) // op 5
+		}
+		return p
+	}
+	base, err := Canonicalize(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base.Classes, [][]int{{0, 1}}) {
+		t.Fatalf("identical threads: classes %v, want [[0 1]]", base.Classes)
+	}
+	mutations := []struct {
+		field string
+		op    int
+		edit  func(o *litmus.Op)
+	}{
+		{"Class", 0, func(o *litmus.Op) { o.Class = core.Paired }},
+		{"AOp", 2, func(o *litmus.Op) { o.AOp = core.OpAdd }},
+		{"Loc", 0, func(o *litmus.Op) { o.Loc = "Z" }},
+		{"Dst", 3, func(o *litmus.Op) { o.Dst = litmus.NoReg }},
+		{"Operand.Const", 2, func(o *litmus.Op) { o.Operand.Const = 2 }},
+		{"Operand.Regs", 5, func(o *litmus.Op) { o.Operand.Regs = []litmus.Reg{0} }},
+		{"Expected", 3, func(o *litmus.Op) { o.Expected.Const = 1 }},
+		{"Guards[0]", 2, func(o *litmus.Op) { o.Guards[0].Op = litmus.GuardEQ }},
+		{"Guards[1]", 2, func(o *litmus.Op) { o.Guards[1].B.Const = 2 }},
+		{"AddrDeps", 1, func(o *litmus.Op) { o.AddrDeps = nil }},
+		{"Cond", 4, func(o *litmus.Op) { o.Cond.Regs = []litmus.Reg{0} }},
+	}
+	for _, mu := range mutations {
+		p := build()
+		th := p.Threads[1]
+		th.Ops = append([]litmus.Op(nil), th.Ops...)
+		op := &th.Ops[mu.op]
+		op.Guards = append([]litmus.Guard(nil), op.Guards...)
+		mu.edit(op)
+		c, err := Canonicalize(p)
+		if err != nil {
+			t.Fatalf("%s: %v", mu.field, err)
+		}
+		if reflect.DeepEqual(c.Classes, base.Classes) {
+			t.Errorf("%s: mutated thread still shares a class with its twin: %v", mu.field, c.Classes)
+		}
+		if c.Key == base.Key {
+			t.Errorf("%s: mutation left the canonical key unchanged", mu.field)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rats/internal/core"
 	"rats/internal/litmus"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/rtrace"
@@ -84,9 +83,8 @@ func (e *Execution) ResultKey() string {
 
 // FinalResultKey serializes a final memory state exactly as
 // Execution.ResultKey does ("loc=val;" segments sorted by location
-// name), so backends that derive final states without materializing
-// executions — the solve package's memoized state search — produce keys
-// comparable to the enumerator's SCResults sets.
+// name), so final states derived without materializing executions
+// produce keys comparable to the enumerator's SCResults sets.
 func FinalResultKey(final map[litmus.Loc]int64) string { return resultKey(final) }
 
 func resultKey(final map[litmus.Loc]int64) string {
@@ -171,6 +169,60 @@ type EnumOptions struct {
 // that the checks vanish from profiles.
 const checkStride = 256
 
+// budget is a search's request-scoped cancellation context and
+// transition budget: every checkEvery nodes the search polls the context
+// and debits the budget (shared by all workers of one search) by
+// checkStride. checkEvery is 0 when neither is configured, so an
+// unscoped search pays one integer compare per node and nothing else.
+type budget struct {
+	ctx        context.Context
+	transLeft  *atomic.Int64
+	transLimit int64
+	checkEvery int
+	sinceCheck int
+}
+
+func newBudget(ctx context.Context, transLimit int64) budget {
+	b := budget{ctx: ctx, transLimit: transLimit}
+	if transLimit > 0 {
+		b.transLeft = new(atomic.Int64)
+		b.transLeft.Store(transLimit)
+	}
+	if ctx != nil || b.transLeft != nil {
+		b.checkEvery = checkStride
+	}
+	return b
+}
+
+// due counts one node of a scoped search and reports whether it is a
+// checkpoint.
+func (b *budget) due() bool {
+	if b.sinceCheck++; b.sinceCheck < b.checkEvery {
+		return false
+	}
+	b.sinceCheck = 0
+	return true
+}
+
+// check returns the error that stops the search at a checkpoint, if any:
+// a *CancelError naming phase once the context is done, or a *LimitError
+// with Phase "transitions" once the budget is spent (flush, when non-nil,
+// first folds the search's counter shards into tel for its snapshot).
+func (b *budget) check(prog, phase string, execs int64, start time.Time, tel *telemetry.Check, flush func()) error {
+	if b.ctx != nil {
+		if cerr := b.ctx.Err(); cerr != nil {
+			return &CancelError{Prog: prog, Phase: phase, Executions: execs, Elapsed: time.Since(start), Err: cerr}
+		}
+	}
+	if b.transLeft != nil && b.transLeft.Add(-checkStride) <= 0 {
+		if flush != nil {
+			flush()
+		}
+		return newLimitError(prog, "transitions", int(b.transLimit), execs, start, tel)
+	}
+	return nil
+}
+
 // CancelError reports a search stopped by its context. It wraps the
 // context's error, so errors.Is(err, context.Canceled) and errors.Is(err,
 // context.DeadlineExceeded) both see through it.
@@ -251,105 +303,13 @@ func newLimitError(prog, phase string, limit int, execs int64, start time.Time, 
 // early without error: workers drain and Enumerate returns (nil, nil).
 var ErrStop = errors.New("memmodel: stop enumeration")
 
-// eventLayout precomputes the static event numbering of a program.
-type eventLayout struct {
-	// id[t][i] is the event ID of thread t's op i, or -1 for branches.
-	id [][]int
-	// locID[t][i] is the location index of thread t's op i, or -1 for
-	// branches. Indexes locs; the enumerator's memory and last-writer
-	// state are slices over it instead of maps keyed by location name.
-	locID [][]int
-	// locs maps location indices back to names, in Locs() order.
-	locs []litmus.Loc
-	// sortedLoc lists location indices in ascending name order — the
-	// order ResultKey serializes, so record can build keys without
-	// sorting per execution.
-	sortedLoc []int
-	// n is the total number of events.
-	n int
-}
-
-func layout(p *litmus.Program) eventLayout {
-	var l eventLayout
-	l.locs = p.Locs()
-	idx := make(map[litmus.Loc]int, len(l.locs))
-	for i, loc := range l.locs {
-		idx[loc] = i
-	}
-	l.sortedLoc = make([]int, len(l.locs))
-	for i := range l.sortedLoc {
-		l.sortedLoc[i] = i
-	}
-	sort.Slice(l.sortedLoc, func(a, b int) bool {
-		return l.locs[l.sortedLoc[a]] < l.locs[l.sortedLoc[b]]
-	})
-	l.id = make([][]int, len(p.Threads))
-	l.locID = make([][]int, len(p.Threads))
-	for t, th := range p.Threads {
-		l.id[t] = make([]int, len(th.Ops))
-		l.locID[t] = make([]int, len(th.Ops))
-		for i, op := range th.Ops {
-			if op.IsBranch {
-				l.id[t][i] = -1
-				l.locID[t][i] = -1
-				continue
-			}
-			l.id[t][i] = l.n
-			l.locID[t][i] = idx[op.Loc]
-			l.n++
-		}
-	}
-	return l
-}
-
-// QuantumDomain returns the value domain used for randomized quantum
-// accesses: the program's explicit domain if set, otherwise every constant
-// appearing in the program plus {0, 1}.
-func QuantumDomain(p *litmus.Program) []int64 {
-	if len(p.QuantumDomain) > 0 {
-		return append([]int64(nil), p.QuantumDomain...)
-	}
-	set := map[int64]bool{0: true, 1: true}
-	for _, v := range p.Init {
-		set[v] = true
-	}
-	for t := range p.Threads {
-		ops := p.Threads[t].Ops
-		for i := range ops {
-			if ops[i].IsBranch {
-				continue
-			}
-			set[ops[i].Operand.Const] = true
-			set[ops[i].Expected.Const] = true
-		}
-	}
-	out := make([]int64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// opInfo is one op's static summary for the enumerator's hot loops.
-type opInfo struct {
-	isBranch  bool
-	hasGuards bool
-	writes    bool
-	reads     bool
-	// quantum folds opts.Quantum into the op's class: the op takes
-	// quantum value choices.
-	quantum bool
-	dst     litmus.Reg
-	loc     int // location index, -1 for branches
-	id      int // event ID, -1 for branches
-}
-
 type enumerator struct {
-	prog   *litmus.Program
-	lay    eventLayout
-	opts   EnumOptions
-	domain []int64
+	// machine is the program's litmus machine (static tables plus the
+	// apply/undo step). The enumerator's speed is sensitive to the
+	// offsets of the hot search state below (pc at byte 288): keep new
+	// fields after it.
+	machine
+	opts EnumOptions
 	// por enables sleep-set partial-order reduction (off in Naive mode
 	// and for programs with more threads than the sleep bitmask holds).
 	por bool
@@ -365,10 +325,6 @@ type enumerator struct {
 	// proto holds the static Event fields (ID, thread, op, TPos=-1);
 	// record copies it wholesale and fills in per-execution values.
 	proto []Event
-	// info caches the static per-op facts the DFS consults at every node
-	// ([t][opIndex], shared read-only by clones), so the hot loops avoid
-	// copying the full Op struct for each method call.
-	info [][]opInfo
 
 	// mutable search state
 	pc      []int
@@ -410,48 +366,30 @@ type enumerator struct {
 	transitions int64
 	sleepSkips  int64
 
-	// ctx and transLeft implement request-scoped cancellation and the
-	// transition budget: every checkEvery DFS nodes the worker polls the
-	// context and debits the shared budget in checkStride-sized strides.
-	// checkEvery is 0 when neither is configured, so an unscoped search
-	// pays one integer compare per node and nothing else. sinceCheck is
-	// clone-local.
-	ctx        context.Context
-	transLeft  *atomic.Int64
-	checkEvery int
-	sinceCheck int
+	// budget is the request-scoped cancellation and transition budget,
+	// shared by all clones (sinceCheck is clone-local).
+	budget
+	// fan, set only while runParallel expands the root, collects the
+	// first-step branches in place of exploring them.
+	fan *[]task
 }
 
 func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 	e := &enumerator{
-		prog:   p,
-		lay:    layout(p),
-		opts:   opts,
-		domain: QuantumDomain(p),
-		por:    !opts.Naive && len(p.Threads) <= 64,
-		count:  new(atomic.Int64),
-		stop:   new(atomic.Bool),
-		tel:    opts.Telemetry,
-		ctx:    opts.Ctx,
-		pc:     make([]int, len(p.Threads)),
-		order:  make([]int, 0, 16),
+		machine: newMachine(p, opts.Quantum),
+		opts:    opts,
+		por:     !opts.Naive && len(p.Threads) <= 64,
+		count:   new(atomic.Int64),
+		stop:    new(atomic.Bool),
+		tel:     opts.Telemetry,
+		budget:  newBudget(opts.Ctx, opts.TransitionLimit),
+		pc:      make([]int, len(p.Threads)),
+		order:   make([]int, 0, 16),
 	}
-	if opts.TransitionLimit > 0 {
-		e.transLeft = new(atomic.Int64)
-		e.transLeft.Store(opts.TransitionLimit)
-	}
-	if e.ctx != nil || e.transLeft != nil {
-		e.checkEvery = checkStride
-	}
-	e.mem = make([]int64, len(e.lay.locs))
+	e.mem, e.regs = e.initial()
 	e.lastW = make([]int, len(e.lay.locs))
-	for i, l := range e.lay.locs {
-		e.mem[i] = p.Init[l]
+	for i := range e.lastW {
 		e.lastW[i] = -1
-	}
-	e.regs = make([][]int64, len(p.Threads))
-	for t, th := range p.Threads {
-		e.regs[t] = make([]int64, th.NumRegs())
 	}
 	n := e.lay.n
 	e.loaded = make([]int64, n)
@@ -460,40 +398,25 @@ func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 	e.random = make([]bool, n)
 	e.present = make([]bool, n)
 	e.proto = make([]Event, n)
-	e.info = make([][]opInfo, len(p.Threads))
 	for t, th := range p.Threads {
-		e.info[t] = make([]opInfo, len(th.Ops))
-		for i := range th.Ops {
-			op := &th.Ops[i]
-			e.info[t][i] = opInfo{
-				isBranch:  op.IsBranch,
-				hasGuards: len(op.Guards) > 0,
-				writes:    op.Writes(),
-				reads:     op.Reads(),
-				quantum:   opts.Quantum && op.Class == core.Quantum,
-				dst:       op.Dst,
-				loc:       e.lay.locID[t][i],
-				id:        e.lay.id[t][i],
-			}
-			if id := e.lay.id[t][i]; id >= 0 {
-				e.proto[id] = Event{ID: id, Thread: t, OpIndex: i, Op: *op, TPos: -1}
+		for i, id := range e.lay.id[t] {
+			if id >= 0 {
+				e.proto[id] = Event{ID: id, Thread: t, OpIndex: i, Op: th.Ops[i], TPos: -1}
 			}
 		}
 	}
 	return e
 }
 
-// clone copies the enumerator's full search state. Workers clone the root
-// after its leading no-ops are consumed, so each first-step branch
-// explores an independent copy.
+// clone copies the enumerator's full search state: runParallel's root
+// step clones itself once per first-step branch, after its leading no-ops
+// are consumed, so each branch explores an independent copy.
 func (e *enumerator) clone() *enumerator {
 	c := &enumerator{
-		prog: e.prog, lay: e.lay, opts: e.opts, domain: e.domain,
+		machine: e.machine, opts: e.opts,
 		por: e.por, count: e.count, stop: e.stop,
-		tel: e.tel, start: e.start,
-		ctx: e.ctx, transLeft: e.transLeft, checkEvery: e.checkEvery,
+		tel: e.tel, start: e.start, budget: e.budget,
 		proto:   e.proto,
-		info:    e.info,
 		pc:      append([]int(nil), e.pc...),
 		mem:     append([]int64(nil), e.mem...),
 		lastW:   append([]int(nil), e.lastW...),
@@ -568,67 +491,30 @@ func (e *enumerator) flushTel() {
 	e.transitions, e.sleepSkips = 0, 0
 }
 
-// runParallel explores the first-step branches on a worker pool: each
-// (thread, value-choice) root transition gets a cloned enumerator, and
-// the per-branch execution lists are concatenated in the sequential
-// branch order, so the output is deterministic and identical to a
-// sequential run of the reduced enumerator.
+// task is one first-step branch of a parallel enumeration: the root's
+// state cloned with the branch's sleep set, and the move to make from it.
+type task struct {
+	c      *enumerator
+	t      int
+	inf    *opInfo
+	lv, sv int64
+}
+
+// runParallel explores the first-step branches on a worker pool: the
+// root step runs with fan set, so it consumes leading no-ops and computes
+// each branch's sleep set exactly as the sequential search would, but
+// exec hands every (thread, value-choice) branch over as a task instead
+// of recursing. The per-branch execution lists are concatenated in the
+// sequential branch order, so the output is deterministic and identical
+// to a sequential run of the reduced enumerator.
 func (e *enumerator) runParallel() ([]*Execution, error) {
-	// Consume leading branch markers and disabled guarded ops exactly as
-	// the recursive skip phase in step would: they are thread-local
-	// no-ops, so draining them per thread reaches the same state.
-	for t, th := range e.prog.Threads {
-		for e.pc[t] < len(th.Ops) {
-			inf := &e.info[t][e.pc[t]]
-			if inf.isBranch || (inf.hasGuards && !th.Ops[e.pc[t]].GuardsHold(e.regs[t])) {
-				e.pc[t]++
-				continue
-			}
-			break
-		}
-	}
-	done := true
-	for t := range e.prog.Threads {
-		if e.pc[t] < len(e.prog.Threads[t].Ops) {
-			done = false
-		}
-	}
-	if done {
-		e.record()
-		if e.err != nil {
-			return nil, e.err
-		}
-		return e.execs, nil
-	}
-
-	type task struct {
-		t      int
-		inf    *opInfo
-		lv, sv int64
-		sleep  uint64
-	}
 	var tasks []task
-	var sleepAcc uint64
-	for t, th := range e.prog.Threads {
-		if e.pc[t] >= len(th.Ops) {
-			continue
-		}
-		inf := &e.info[t][e.pc[t]]
-		var child uint64
-		if e.por {
-			child = e.filterSleep(sleepAcc, inf)
-		}
-		loads, stores := e.choices(inf)
-		for _, lv := range loads {
-			for _, sv := range stores {
-				tasks = append(tasks, task{t: t, inf: inf, lv: lv, sv: sv, sleep: child})
-			}
-		}
-		if e.por {
-			sleepAcc |= 1 << uint(t)
-		}
+	e.fan = &tasks
+	e.step()
+	e.fan = nil
+	if e.err != nil {
+		return nil, e.err
 	}
-
 	workers := make([]*enumerator, len(tasks))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -653,8 +539,7 @@ func (e *enumerator) runParallel() ([]*Execution, error) {
 			}
 			for i := range jobs {
 				tk := tasks[i]
-				c := e.clone()
-				c.sleep = tk.sleep
+				c := tk.c
 				c.execOne(tk.t, tk.inf, tk.lv, tk.sv)
 				if wsp != nil {
 					wsp.Event("branch",
@@ -675,7 +560,7 @@ func (e *enumerator) runParallel() ([]*Execution, error) {
 	close(jobs)
 	wg.Wait()
 
-	var out []*Execution
+	out := e.execs
 	for _, c := range workers {
 		if c.err != nil {
 			return nil, c.err
@@ -710,44 +595,15 @@ func (e *enumerator) filterSleep(sleep uint64, inf *opInfo) uint64 {
 	return out
 }
 
-// checkpoint polls the cancellation context and debits the shared
-// transition budget by one checkStride. Called every checkEvery DFS nodes
-// per worker, so detection lags the event by a bounded (and tiny) amount
-// of search work. It reports whether the search may continue.
-func (e *enumerator) checkpoint() bool {
-	if e.ctx != nil {
-		if cerr := e.ctx.Err(); cerr != nil {
-			e.err = &CancelError{
-				Prog: e.prog.Name, Phase: "enumeration",
-				Executions: e.count.Load(), Elapsed: time.Since(e.start),
-				Err: cerr,
-			}
-			e.stop.Store(true)
-			return false
-		}
-	}
-	if e.transLeft != nil && e.transLeft.Add(-checkStride) <= 0 {
-		e.flushTel()
-		e.err = newLimitError(e.prog.Name, "transitions",
-			int(e.opts.TransitionLimit), e.count.Load(), e.start, e.tel)
-		e.stop.Store(true)
-		return false
-	}
-	return true
-}
-
 // step is the DFS over interleavings (and quantum value choices).
 func (e *enumerator) step() {
 	if e.err != nil || e.stop.Load() {
 		return
 	}
-	if e.checkEvery > 0 {
-		e.sinceCheck++
-		if e.sinceCheck >= e.checkEvery {
-			e.sinceCheck = 0
-			if !e.checkpoint() {
-				return
-			}
+	if e.checkEvery > 0 && e.due() {
+		if e.err = e.check(e.prog.Name, "enumeration", e.count.Load(), e.start, e.tel, e.flushTel); e.err != nil {
+			e.stop.Store(true)
+			return
 		}
 	}
 	done := true
@@ -759,7 +615,7 @@ func (e *enumerator) step() {
 			// they are thread-local no-ops (guard values are fixed once
 			// the thread reaches them) and must not multiply
 			// interleavings.
-			if inf.isBranch || (inf.hasGuards && !e.prog.Threads[t].Ops[e.pc[t]].GuardsHold(e.regs[t])) {
+			if e.skips(inf, e.regs[t]) {
 				e.pc[t]++
 				e.step()
 				e.pc[t]--
@@ -814,6 +670,11 @@ func (e *enumerator) exec(t int, inf *opInfo) {
 	loadChoices, storeChoices := e.choices(inf)
 	for _, lv := range loadChoices {
 		for _, sv := range storeChoices {
+			if e.fan != nil {
+				c := e.clone()
+				*e.fan = append(*e.fan, task{c: c, t: t, inf: inf, lv: lv, sv: sv})
+				continue
+			}
 			e.execOne(t, inf, lv, sv)
 			if e.err != nil {
 				return
@@ -822,59 +683,20 @@ func (e *enumerator) exec(t int, inf *opInfo) {
 	}
 }
 
-// oneChoice is the value-choice list of non-quantum accesses (the value
-// is ignored; the access reads/computes its real value).
-var oneChoice = []int64{0}
-
-// choices returns the quantum load/store value-choice lists for op.
-func (e *enumerator) choices(inf *opInfo) (loads, stores []int64) {
-	loads, stores = oneChoice, oneChoice
-	if inf.quantum {
-		if inf.reads {
-			loads = e.domain
-		}
-		if inf.writes {
-			stores = e.domain
-		}
-	}
-	return loads, stores
-}
-
 func (e *enumerator) execOne(t int, inf *opInfo, qload, qstore int64) {
 	e.transitions++
 	id, loc := inf.id, inf.loc
-	oldMem := e.mem[loc]
 	oldLast := e.lastW[loc]
-	var oldReg int64
-	if inf.dst != litmus.NoReg {
-		oldReg = e.regs[t][inf.dst]
-	}
-
-	// Perform the access.
-	loaded := oldMem
+	loaded, oldMem, oldReg := e.apply(inf, e.mem, e.regs[t], qload, qstore)
 	e.rf[id] = oldLast
 	if inf.quantum && inf.reads {
-		loaded = qload
 		e.rf[id] = -1
 	}
 	e.loaded[id] = loaded
 	e.random[id] = inf.quantum
-	if inf.dst != litmus.NoReg {
-		e.regs[t][inf.dst] = loaded
-	}
 	if inf.writes {
-		var newVal int64
-		if inf.quantum {
-			newVal = qstore
-		} else {
-			op := &e.prog.Threads[t].Ops[e.pc[t]]
-			operand := op.Operand.Eval(e.regs[t])
-			expected := op.Expected.Eval(e.regs[t])
-			newVal = op.AOp.Apply(oldMem, operand, expected)
-		}
-		e.mem[loc] = newVal
 		e.lastW[loc] = id
-		e.stored[id] = newVal
+		e.stored[id] = e.mem[loc]
 	}
 	e.order = append(e.order, id)
 	e.present[id] = true
@@ -882,16 +704,12 @@ func (e *enumerator) execOne(t int, inf *opInfo, qload, qstore int64) {
 
 	e.step()
 
-	// Undo.
 	e.pc[t]--
 	e.present[id] = false
 	e.order = e.order[:len(e.order)-1]
+	e.undo(inf, e.mem, e.regs[t], oldMem, oldReg)
 	if inf.writes {
-		e.mem[loc] = oldMem
 		e.lastW[loc] = oldLast
-	}
-	if inf.dst != litmus.NoReg {
-		e.regs[t][inf.dst] = oldReg
 	}
 }
 
@@ -939,13 +757,7 @@ func (e *enumerator) record() {
 	}
 	// Serialize the result key directly from the presorted location order
 	// (identical to resultKey(ex.Final), minus its per-call sort).
-	e.keyBuf = e.keyBuf[:0]
-	for _, li := range e.lay.sortedLoc {
-		e.keyBuf = append(e.keyBuf, e.lay.locs[li]...)
-		e.keyBuf = append(e.keyBuf, '=')
-		e.keyBuf = strconv.AppendInt(e.keyBuf, e.mem[li], 10)
-		e.keyBuf = append(e.keyBuf, ';')
-	}
+	e.keyBuf = e.lay.appendResultKey(e.keyBuf[:0], e.mem)
 	if e.keyIntern == nil {
 		e.keyIntern = make(map[string]string, 8)
 	}

@@ -252,8 +252,7 @@ const (
 	// where possible and only the residue is searched, so heavily
 	// contended programs whose interleaving count is intractable still
 	// get exact verdicts. The backend must be registered by importing the
-	// solve package; it is verdict-only, so Materialize requests fall
-	// back to the enumerator.
+	// solve package.
 	ModeSolve Mode = "solve"
 )
 
@@ -273,17 +272,9 @@ func RegisterSolveBackend(fn func(*litmus.Program, core.Model, CheckOptions) (*V
 type CheckOptions struct {
 	// Mode selects the backend: ModeEnumerate (default) enumerates and
 	// classifies every SC execution; ModeSolve solves for racy executions
-	// instead, falling back to the enumerator when Materialize is set
-	// (the solver produces verdicts, not execution lists).
+	// instead.
 	Mode Mode
-	// Materialize switches from the default streaming pipeline (POR
-	// enumeration feeding a pool of Analyze workers through a bounded
-	// channel) to the two-phase mode that first collects every execution
-	// into a slice and then analyzes serially. The verdict is identical
-	// either way; materializing costs O(#executions) memory and exists
-	// for tests and debugging.
-	Materialize bool
-	// Workers caps the analysis worker pool (streaming mode only);
+	// Workers caps the analysis worker pool (enumeration mode only);
 	// <= 0 means GOMAXPROCS. Workers spawn lazily as the enumerator
 	// outpaces analysis, so small programs stay on one goroutine.
 	Workers int
@@ -325,18 +316,17 @@ func CheckProgram(p0 *litmus.Program, m core.Model) (*Verdict, error) {
 }
 
 // CheckProgramWith is CheckProgram with an explicit pipeline
-// configuration. The verdict is deterministic — byte-identical between
-// streaming and materializing modes and across worker counts — because
-// every aggregated field is an order-independent set union finished by a
-// sort.
+// configuration. The verdict is deterministic — byte-identical across
+// worker counts — because every aggregated field is an order-independent
+// set union finished by a sort.
 func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Verdict, error) {
-	if opts.Mode == ModeSolve && !opts.Materialize {
+	if opts.Mode == ModeSolve {
 		if solveBackend == nil {
 			return nil, fmt.Errorf("memmodel: CheckOptions.Mode %q requires the solve backend: import rats/internal/memmodel/solve", opts.Mode)
 		}
 		return solveBackend(p0, m, opts)
 	}
-	if opts.Mode != ModeEnumerate && opts.Mode != ModeSolve {
+	if opts.Mode != ModeEnumerate {
 		return nil, fmt.Errorf("memmodel: unknown CheckOptions.Mode %q", opts.Mode)
 	}
 	p := p0.Under(m)
@@ -352,48 +342,24 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 	tel.Begin(int64(effLimit))
 	sp := opts.Span
 	eo := EnumOptions{
-		Quantum: true, Limit: opts.Limit, Telemetry: tel,
+		Quantum: true, Sequential: true, Limit: opts.Limit, Telemetry: tel,
 		Ctx: opts.Ctx, TransitionLimit: opts.TransitionLimit,
-	}
-
-	if opts.Materialize {
-		en := sp.Child("enumerate")
-		tel.SetSpan(en)
-		execs, err := Enumerate(p, eo)
-		tel.SetSpan(nil)
-		en.End()
-		if err != nil {
-			tel.Finish(stateForErr(err))
-			return nil, err
-		}
-		aw := sp.Child("analyze.worker")
-		pv := newPartialVerdict()
-		an := NewAnalyzer()
-		w := tel.Worker()
-		for _, ex := range execs {
-			pv.add(an.Analyze(ex), kinds)
-			w.IncAnalyzed()
-		}
-		aw.SetInt("analyzed", int64(len(execs)))
-		aw.End()
-		mg := sp.Child("merge")
-		v := finishVerdict(p0.Name, m, []*partialVerdict{pv}, tel)
-		mg.End()
-		tel.Finish(telemetry.StateDone)
-		return v, nil
 	}
 
 	maxWorkers := opts.Workers
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
-	eo.Sequential = true
+	var parts []*partialVerdict
+	drain := func() {}
 	if maxWorkers == 1 {
 		// Single-worker streaming runs the analysis inline in the Visit
 		// callback: no channel, no goroutine hand-off, and one Execution
 		// recycled for every delivery, so memory is O(1) in the number of
-		// executions.
+		// executions. Enumeration and analysis interleave on one
+		// goroutine, so the enumerate span covers both.
 		pv := newPartialVerdict()
+		parts = append(parts, pv)
 		an := NewAnalyzer()
 		w := tel.Worker()
 		var spare *Execution
@@ -408,112 +374,101 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 			spare = ex
 			return nil
 		}
-		// Enumeration and analysis interleave on one goroutine, so a
-		// single span covers both.
-		en := sp.Child("enumerate")
-		tel.SetSpan(en)
-		_, err := Enumerate(p, eo)
-		tel.SetSpan(nil)
-		en.End()
-		if err != nil {
-			tel.Finish(stateForErr(err))
-			return nil, err
-		}
-		mg := sp.Child("merge")
-		v := finishVerdict(p0.Name, m, []*partialVerdict{pv}, tel)
-		mg.End()
-		tel.Finish(telemetry.StateDone)
-		return v, nil
-	}
-	ch := make(chan *Execution, 4*maxWorkers)
-	var (
-		wg     sync.WaitGroup
-		parts  []*partialVerdict
-		exPool sync.Pool
-	)
-	// spawn adds one analysis worker with its own arena and verdict
-	// shard. Only the producer goroutine (the Visit callback below)
-	// spawns, so parts needs no lock until wg.Wait returns. Analyzed
-	// executions go back to the pool for the enumerator to refill, so the
-	// steady-state pipeline recycles a bounded working set (channel
-	// capacity + in-flight) instead of allocating per execution.
-	spawn := func() {
-		pv := newPartialVerdict()
-		parts = append(parts, pv)
-		w := tel.Worker()
-		var wsp *rtrace.Span
-		if sp != nil {
-			wsp = sp.Child("analyze.worker")
-			wsp.SetInt("worker", int64(len(parts)-1))
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			an := NewAnalyzer()
-			if w == nil && wsp == nil {
-				for ex := range ch {
-					pv.add(an.Analyze(ex), kinds)
-					exPool.Put(ex)
-				}
-				return
+	} else {
+		ch := make(chan *Execution, 4*maxWorkers)
+		var (
+			wg     sync.WaitGroup
+			exPool sync.Pool
+		)
+		// spawn adds one analysis worker with its own arena and verdict
+		// shard. Only the producer goroutine (the Visit callback below)
+		// spawns, so parts needs no lock until wg.Wait returns. Analyzed
+		// executions go back to the pool for the enumerator to refill, so
+		// the steady-state pipeline recycles a bounded working set
+		// (channel capacity + in-flight) instead of allocating per
+		// execution.
+		spawn := func() {
+			pv := newPartialVerdict()
+			parts = append(parts, pv)
+			w := tel.Worker()
+			var wsp *rtrace.Span
+			if sp != nil {
+				wsp = sp.Child("analyze.worker")
+				wsp.SetInt("worker", int64(len(parts)-1))
 			}
-			// Instrumented loop: a blocking receive on an empty channel
-			// means this worker outpaced the enumerator — count it as an
-			// idle wait before parking.
-			var analyzed int64
-			defer func() {
-				if wsp != nil {
-					wsp.SetInt("analyzed", analyzed)
-					wsp.End()
-				}
-			}()
-			for {
-				var ex *Execution
-				var ok bool
-				select {
-				case ex, ok = <-ch:
-				default:
-					w.IncIdle()
-					ex, ok = <-ch
-				}
-				if !ok {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				an := NewAnalyzer()
+				if w == nil && wsp == nil {
+					for ex := range ch {
+						pv.add(an.Analyze(ex), kinds)
+						exPool.Put(ex)
+					}
 					return
 				}
-				pv.add(an.Analyze(ex), kinds)
-				w.IncAnalyzed()
-				analyzed++
-				exPool.Put(ex)
-			}
-		}()
-	}
-	spawn()
-	// Enumeration runs sequentially as the pipeline's producer: per
-	// execution it is several times cheaper than analysis, so the
-	// parallelism that matters is on the analysis side, and a single
-	// deterministic producer avoids the first-step fan-out's goroutine
-	// and state-cloning overhead. Additional workers spawn only on
-	// backlog — a channel filling up means analysis is falling behind —
-	// so programs with few executions stay on one goroutine.
-	eo.Recycle = func() *Execution {
-		ex, _ := exPool.Get().(*Execution)
-		return ex
-	}
-	eo.Visit = func(ex *Execution) error {
-		if len(ch) > len(parts) && len(parts) < maxWorkers {
-			spawn()
+				// Instrumented loop: a blocking receive on an empty
+				// channel means this worker outpaced the enumerator —
+				// count it as an idle wait before parking.
+				var analyzed int64
+				defer func() {
+					if wsp != nil {
+						wsp.SetInt("analyzed", analyzed)
+						wsp.End()
+					}
+				}()
+				for {
+					var ex *Execution
+					var ok bool
+					select {
+					case ex, ok = <-ch:
+					default:
+						w.IncIdle()
+						ex, ok = <-ch
+					}
+					if !ok {
+						return
+					}
+					pv.add(an.Analyze(ex), kinds)
+					w.IncAnalyzed()
+					analyzed++
+					exPool.Put(ex)
+				}
+			}()
 		}
-		ch <- ex
-		return nil
+		spawn()
+		// Enumeration runs sequentially as the pipeline's producer: per
+		// execution it is several times cheaper than analysis, so the
+		// parallelism that matters is on the analysis side, and a single
+		// deterministic producer avoids the first-step fan-out's
+		// goroutine and state-cloning overhead. Additional workers spawn
+		// only on backlog — a channel filling up means analysis is
+		// falling behind — so programs with few executions stay on one
+		// goroutine.
+		eo.Recycle = func() *Execution {
+			ex, _ := exPool.Get().(*Execution)
+			return ex
+		}
+		eo.Visit = func(ex *Execution) error {
+			if len(ch) > len(parts) && len(parts) < maxWorkers {
+				spawn()
+			}
+			ch <- ex
+			return nil
+		}
+		drain = func() {
+			close(ch)
+			wg.Wait()
+		}
 	}
 	en := sp.Child("enumerate")
 	tel.SetSpan(en)
 	_, err := Enumerate(p, eo)
 	tel.SetSpan(nil)
 	en.End()
-	close(ch)
-	wg.Wait()
+	drain()
 	if err != nil {
-		tel.Finish(stateForErr(err))
+		tel.Finish(StateForErr(err))
 		return nil, err
 	}
 	mg := sp.Child("merge")
@@ -523,8 +478,9 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 	return v, nil
 }
 
-// stateForErr maps a check error onto its terminal telemetry state.
-func stateForErr(err error) telemetry.CheckState {
+// StateForErr maps a check error onto its terminal telemetry state, for
+// every backend behind CheckProgramWith.
+func StateForErr(err error) telemetry.CheckState {
 	var ce *CancelError
 	switch {
 	case errors.Is(err, ErrLimit):

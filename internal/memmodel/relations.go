@@ -78,7 +78,6 @@ type Analyzer struct {
 	scr        rel.Bits
 	threadBits []rel.Bits
 	locBits    []rel.Bits
-	locIdx     map[litmus.Loc]int
 	classBits  []rel.Bits // indexed by core.Class; static per program
 	// Static per-program event tables (event IDs are stable across
 	// executions, so everything derivable from the static ops alone is
@@ -187,18 +186,10 @@ func (a *Analyzer) ensure(p *litmus.Program) {
 			a.classBits[c].Reset()
 		}
 	}
-	locs := a.lay.locs
-	if a.locIdx == nil || len(a.locBits) < len(locs) || !sameN {
-		a.locIdx = make(map[litmus.Loc]int, len(locs))
-		a.locBits = rel.MakeBitsSlab(n, len(locs))
+	if nl := len(a.lay.locs); a.locBits == nil || len(a.locBits) < nl || !sameN {
+		a.locBits = rel.MakeBitsSlab(n, nl)
 	} else {
-		for k := range a.locIdx {
-			delete(a.locIdx, k)
-		}
-		a.locBits = a.locBits[:len(locs)]
-	}
-	for i, l := range locs {
-		a.locIdx[l] = i
+		a.locBits = a.locBits[:nl]
 	}
 	if cap(a.evThread) < n {
 		a.evThread = make([]int, n)
@@ -225,7 +216,7 @@ func (a *Analyzer) ensure(p *litmus.Program) {
 				continue
 			}
 			a.evThread[id] = t
-			a.evLoc[id] = a.locIdx[op.Loc]
+			a.evLoc[id] = a.lay.locID[t][i]
 			a.evWrites[id] = op.Writes()
 			a.evReads[id] = op.Reads()
 			cls := op.Class

@@ -26,11 +26,12 @@
 //     full union) and the visited executions double as the SC result
 //     set.
 //  3. State search (solve.states): the SC result set, when phase 2 did
-//     not already produce it, comes from a memoized DFS over
-//     (pc, memory, registers) states of the quantum-equivalent program
-//     with thread-symmetry-canonicalized memo keys — decision/
-//     propagation/conflict/learned counters map onto DPLL vocabulary
-//     (branching states, forced moves, memo hits, memoized states).
+//     not already produce it, comes from memmodel.ExploreSC — the
+//     system model's memoized explorer run with order = program order,
+//     quantum value choices, and memo keys canonicalized under the
+//     thread-symmetry classes of memmodel.Canonicalize. Its counters
+//     map onto DPLL vocabulary (branching states, forced moves, memo
+//     hits, memoized states).
 //
 // The backend is verdict-only and exact: it reports precisely the
 // race pairs and SC results the enumerator would, byte-identical after
@@ -40,7 +41,6 @@
 package solve
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -52,30 +52,14 @@ import (
 )
 
 func init() {
-	memmodel.RegisterSolveBackend(check)
+	memmodel.RegisterSolveBackend(Check)
 }
 
 // Check runs the solve backend directly. Callers normally go through
 // memmodel.CheckProgramWith with CheckOptions.Mode set to ModeSolve
 // (importing this package registers the backend); the direct entry
 // serves tests and tools that want the solver unconditionally.
-func Check(p *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmodel.Verdict, error) {
-	return check(p, m, opts)
-}
-
-// stateForErr mirrors the enumeration pipeline's error-to-state mapping.
-func stateForErr(err error) telemetry.CheckState {
-	var ce *memmodel.CancelError
-	switch {
-	case errors.Is(err, memmodel.ErrLimit):
-		return telemetry.StateLimit
-	case errors.Is(err, memmodel.ErrStop), errors.As(err, &ce):
-		return telemetry.StateStopped
-	}
-	return telemetry.StateFailed
-}
-
-func check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmodel.Verdict, error) {
+func Check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmodel.Verdict, error) {
 	// Solving on the canonical program realizes variable-symmetry
 	// reduction (thread order and location names are normalized away);
 	// the verdict is rewritten back into the submitter's namespace at
@@ -104,7 +88,7 @@ func check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmo
 
 	an := memmodel.NewAnalyzer()
 	stSpan := sp.Child("solve.static")
-	cs := buildConstraints(an, p, m)
+	cs := buildConstraints(an, p, m, can.Classes)
 	stSpan.SetInt("implied", cs.nImplied)
 	stSpan.SetInt("refuted", cs.nRefuted)
 	stSpan.SetInt("undecided", cs.nUndecided)
@@ -152,7 +136,7 @@ func check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmo
 		se.SetInt("confirmed", cs.nConfirmed)
 		se.End()
 		if serr != nil {
-			tel.Finish(stateForErr(serr))
+			tel.Finish(memmodel.StateForErr(serr))
 			return nil, serr
 		}
 		if !stopped {
@@ -162,24 +146,20 @@ func check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmo
 	}
 
 	// Phase 3: memoized state search for the SC result set.
-	var decisions, propagations, conflicts, learned int64
+	var st memmodel.ExploreStats
 	if !exhaustive {
 		ss := sp.Child("solve.states")
-		ds := newStateSearch(p, opts, cs.classThreads, tel)
-		ds.run()
-		ds.flush()
-		ss.SetInt("states", ds.learned)
-		ss.SetInt("memo_hits", ds.memoHits)
+		var serr error
+		scResults, st, serr = memmodel.ExploreSC(p, can.Classes, opts)
+		ss.SetInt("states", st.States)
+		ss.SetInt("memo_hits", st.MemoHits)
 		ss.End()
-		if ds.err != nil {
-			tel.Finish(stateForErr(ds.err))
-			return nil, ds.err
+		if serr != nil {
+			tel.Finish(memmodel.StateForErr(serr))
+			return nil, serr
 		}
-		scResults = ds.results
-		decisions, propagations = ds.decisions, ds.propagations
-		conflicts, learned = ds.memoHits, ds.learned
 	}
-	tel.AddSolve(decisions, propagations+cs.nImplied, conflicts+cs.nRefuted, learned)
+	tel.AddSolve(st.Decisions, st.Propagations+cs.nImplied, st.MemoHits+cs.nRefuted, st.States)
 
 	v := &memmodel.Verdict{
 		Model: m, Legal: true,
@@ -222,9 +202,9 @@ type constraints struct {
 	class  []core.Class
 	id     [][]int
 
-	// Thread-symmetry classes: threads with identical op lists are
-	// interchangeable by a program automorphism, so a confirmed race
-	// pair confirms its whole orbit.
+	// Thread-symmetry classes (Canonical.Classes): threads with
+	// identical op lists are interchangeable by a program automorphism,
+	// so a confirmed race pair confirms its whole orbit.
 	classOf      []int
 	classThreads [][]int
 
@@ -282,18 +262,25 @@ func (cs *constraints) confirm(k memmodel.RaceKind, pr [2]int) {
 // the per-kind candidate pairs and their implied/refuted/undecided
 // split. It reuses the analyzer arena's static tables as-is and builds
 // the candidate and ordering relations with the rel kernels.
-func buildConstraints(an *memmodel.Analyzer, p *litmus.Program, m core.Model) *constraints {
+func buildConstraints(an *memmodel.Analyzer, p *litmus.Program, m core.Model, classes [][]int) *constraints {
 	st := an.Static(p)
 	n := st.N
 	nT := len(p.Threads)
 
 	cs := &constraints{
-		thread:    st.Thread,
-		class:     st.Class,
-		id:        st.ID,
-		implied:   map[memmodel.RaceKind][][2]int{},
-		confirmed: map[memmodel.RaceKind][][2]int{},
-		undecided: map[memmodel.RaceKind]map[[2]int]bool{},
+		thread:       st.Thread,
+		class:        st.Class,
+		id:           st.ID,
+		implied:      map[memmodel.RaceKind][][2]int{},
+		confirmed:    map[memmodel.RaceKind][][2]int{},
+		undecided:    map[memmodel.RaceKind]map[[2]int]bool{},
+		classOf:      make([]int, nT),
+		classThreads: classes,
+	}
+	for ci, ts := range classes {
+		for _, t := range ts {
+			cs.classOf[t] = ci
+		}
 	}
 	cs.kinds = []memmodel.RaceKind{memmodel.DataRace}
 	if m == core.DRFrlx {
@@ -322,22 +309,6 @@ func buildConstraints(an *memmodel.Analyzer, p *litmus.Program, m core.Model) *c
 			aop[id] = op.AOp
 			operand[id] = op.Operand.Const
 		}
-	}
-
-	// Thread-symmetry classes by exact op-list identity.
-	sig := map[string]int{}
-	cs.classOf = make([]int, nT)
-	for t := range p.Threads {
-		th := p.Threads[t]
-		key := fmt.Sprintf("%d\x00%+v", th.NumRegs(), th.Ops)
-		ci, ok := sig[key]
-		if !ok {
-			ci = len(cs.classThreads)
-			sig[key] = ci
-			cs.classThreads = append(cs.classThreads, nil)
-		}
-		cs.classOf[t] = ci
-		cs.classThreads[ci] = append(cs.classThreads[ci], t)
 	}
 
 	// Static event-set masks and relations, mirroring BuildRelations'

@@ -225,8 +225,8 @@ func TestSolveSymmetrySoundness(t *testing.T) {
 }
 
 // FuzzSolveMatchesEnumerate is the differential fuzz oracle the package
-// doc promises: on generated programs across every model, the solver and
-// the enumerator must produce identical verdicts.
+// doc promises: on programs from both generators across every model, the
+// solver and the enumerator must produce identical verdicts.
 func FuzzSolveMatchesEnumerate(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 123, 346, 960, 5861} {
 		for mi := range models {
@@ -235,18 +235,8 @@ func FuzzSolveMatchesEnumerate(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, modelIdx uint8) {
 		m := models[int(modelIdx)%len(models)]
-		p := randomProgram(seed)
-		want, err := memmodel.CheckProgram(p, m)
-		if err != nil {
-			t.Skipf("enumerate: %v", err)
-		}
-		got, err := Check(p, m, memmodel.CheckOptions{})
-		if err != nil {
-			t.Fatalf("solve failed where enumerate succeeded: %v", err)
-		}
-		if !reflect.DeepEqual(normalize(got), normalize(want)) {
-			t.Errorf("seed %d/%s: solver diverges\n got: %+v\nwant: %+v", seed, m, got, want)
-		}
+		checkSolveMatches(t, randomProgram(seed), m, seed, 0)
+		checkSolveMatches(t, wideProgram(seed), m, seed, wideLimit)
 	})
 }
 

@@ -36,23 +36,6 @@ func TestCheckProgramWithModeSolve(t *testing.T) {
 	}
 }
 
-// TestModeSolveMaterializeFallsBack: the solver is verdict-only, so a
-// Materialize request must fall back to the enumeration pipeline, which
-// analyzes every enumerated execution (Execs > 0), where the solver
-// itself would report zero for this statically-decided program.
-func TestModeSolveMaterializeFallsBack(t *testing.T) {
-	p := litmus.MP("mp_mat", core.Paired)
-	v, err := memmodel.CheckProgramWith(p, core.DRFrlx, memmodel.CheckOptions{
-		Mode: memmodel.ModeSolve, Materialize: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Execs == 0 {
-		t.Error("Materialize with mode=solve analyzed no executions; fallback to the enumerator is broken")
-	}
-}
-
 // TestUnknownModeRejected pins the validation error for a mode the
 // dispatcher does not know.
 func TestUnknownModeRejected(t *testing.T) {

@@ -1,9 +1,6 @@
 package memmodel
 
 import (
-	"strconv"
-	"time"
-
 	"rats/internal/core"
 	"rats/internal/litmus"
 	"rats/internal/memmodel/rel"
@@ -33,20 +30,16 @@ func PreservedPO(p *litmus.Program) rel.Rel {
 	lay := layout(p)
 	ppo := rel.New(lay.n)
 	for t, th := range p.Threads {
-		// defs[r] = op index that defined register r.
+		// defs[r] = op index that defined register r; ctrls lists the
+		// defining ops of every branch seen so far, which all later ops
+		// are control-dependent on.
 		defs := map[litmus.Reg]int{}
-		// ctrlFrom: first op index after which all ops are
-		// control-dependent on the defining ops in ctrlDefs.
-		type ctrlDep struct {
-			after int
-			def   int
-		}
-		var ctrls []ctrlDep
+		var ctrls []int
 		for i, op := range th.Ops {
 			if op.IsBranch {
 				for _, rg := range op.Cond.Regs {
 					if d, ok := defs[rg]; ok {
-						ctrls = append(ctrls, ctrlDep{after: i, def: d})
+						ctrls = append(ctrls, d)
 					}
 				}
 				continue
@@ -65,10 +58,8 @@ func PreservedPO(p *litmus.Program) rel.Rel {
 				}
 			}
 			// Control dependencies from earlier branches.
-			for _, c := range ctrls {
-				if c.after < i {
-					ppo.Set(lay.id[t][c.def], idI)
-				}
+			for _, d := range ctrls {
+				ppo.Set(lay.id[t][d], idI)
 			}
 			// Ordering against earlier memory ops.
 			for j := 0; j < i; j++ {
@@ -117,9 +108,15 @@ func SystemResults(p *litmus.Program, limit int) (map[string]bool, error) {
 }
 
 // SystemResultsWith is SystemResults with instrumentation: the telemetry
-// check (nil = disabled) counts completed system executions, DFS
-// transitions, and seen-state memo hits, and is marked Begin/Finish
-// around the search.
+// check (nil = disabled) counts completed system executions, memoized
+// states (as transitions), and seen-state memo hits, and is marked
+// Begin/Finish around the search.
+//
+// The search is the machine's explorer with order = PreservedPO and no
+// thread symmetry: memoizing on (done set, memory, registers) collapses
+// the factorially redundant interleavings of commuting prefixes, which
+// is what makes the exhaustive theorem fuzzer run without an
+// execution-count escape hatch.
 func SystemResultsWith(p *litmus.Program, limit int, tel *telemetry.Check) (map[string]bool, error) {
 	if err := p.Validate(); err != nil {
 		tel.Begin(int64(limit))
@@ -130,154 +127,14 @@ func SystemResultsWith(p *litmus.Program, limit int, tel *telemetry.Check) (map[
 		limit = DefaultLimit
 	}
 	tel.Begin(int64(limit))
-	start := time.Now()
-	lay := layout(p)
-	ppo := PreservedPO(p)
-
-	// Per-event static info.
-	type evInfo struct {
-		thread, opIndex int
-		op              litmus.Op
-	}
-	evs := make([]evInfo, lay.n)
-	preds := make([][]int, lay.n)
-	for t, th := range p.Threads {
-		for i, op := range th.Ops {
-			id := lay.id[t][i]
-			if id < 0 {
-				continue
-			}
-			evs[id] = evInfo{thread: t, opIndex: i, op: op}
-		}
-	}
-	for i := 0; i < lay.n; i++ {
-		for j := 0; j < lay.n; j++ {
-			if ppo.Has(j, i) {
-				preds[i] = append(preds[i], j)
-			}
-		}
-	}
-
-	results := map[string]bool{}
-	mem := map[litmus.Loc]int64{}
-	locs := p.Locs()
-	for _, l := range locs {
-		mem[l] = p.Init[l]
-	}
-	regs := make([][]int64, len(p.Threads))
-	for t, th := range p.Threads {
-		regs[t] = make([]int64, th.NumRegs())
-	}
-	done := make([]bool, lay.n)
-	nDone := 0
-	count := 0
-
-	// Seen-state memoization: the search state is fully determined by
-	// (done set, memory, register files) — the preds relation is static —
-	// and nDone strictly increases along any path, so the state graph is
-	// a DAG. Once a state has been explored, every final result reachable
-	// from it is already in the results set, and revisiting it (different
-	// interleavings of commuting prefixes converge on the same state)
-	// would only re-derive them. This collapses the factorially redundant
-	// part of the search, which is what makes the exhaustive theorem
-	// fuzzer run without an execution-count escape hatch.
-	seen := map[string]bool{}
-	var keyBuf []byte
-	stateKey := func() string {
-		b := keyBuf[:0]
-		for i := 0; i < lay.n; i++ {
-			if done[i] {
-				b = append(b, '1')
-			} else {
-				b = append(b, '0')
-			}
-		}
-		for _, l := range locs {
-			b = strconv.AppendInt(b, mem[l], 10)
-			b = append(b, ',')
-		}
-		for t := range regs {
-			for _, v := range regs[t] {
-				b = strconv.AppendInt(b, v, 10)
-				b = append(b, ',')
-			}
-		}
-		keyBuf = b
-		return string(b)
-	}
-
-	var step func() error
-	step = func() error {
-		if nDone == lay.n {
-			count++
-			if count > limit {
-				return newLimitError(p.Name, "system model", limit, int64(count-1), start, tel)
-			}
-			tel.IncEnumerated()
-			results[resultKey(mem)] = true
-			return nil
-		}
-		k := stateKey()
-		if seen[k] {
-			tel.AddMemoHits(1)
-			return nil
-		}
-		seen[k] = true
-		tel.IncTransition()
-	next:
-		for i := 0; i < lay.n; i++ {
-			if done[i] {
-				continue
-			}
-			for _, pr := range preds[i] {
-				if !done[pr] {
-					continue next
-				}
-			}
-			e := evs[i]
-			op := e.op
-			if !op.GuardsHold(regs[e.thread]) {
-				// Skipped guarded op: executes as a no-op.
-				done[i] = true
-				nDone++
-				if err := step(); err != nil {
-					return err
-				}
-				done[i] = false
-				nDone--
-				continue
-			}
-			oldMem := mem[op.Loc]
-			var oldReg int64
-			if op.Dst != litmus.NoReg {
-				oldReg = regs[e.thread][op.Dst]
-				regs[e.thread][op.Dst] = oldMem
-			}
-			if op.Writes() {
-				operand := op.Operand.Eval(regs[e.thread])
-				expected := op.Expected.Eval(regs[e.thread])
-				mem[op.Loc] = op.AOp.Apply(oldMem, operand, expected)
-			}
-			done[i] = true
-			nDone++
-			if err := step(); err != nil {
-				return err
-			}
-			done[i] = false
-			nDone--
-			mem[op.Loc] = oldMem
-			if op.Dst != litmus.NoReg {
-				regs[e.thread][op.Dst] = oldReg
-			}
-		}
-		return nil
-	}
-	if err := step(); err != nil {
+	x := newExplorer(p, PreservedPO(p), false, nil)
+	x.phase, x.limit, x.tel = "system model", limit, tel
+	if x.step(); x.err != nil {
 		tel.Finish(telemetry.StateLimit)
-		return nil, err
+		return nil, x.err
 	}
 	tel.Finish(telemetry.StateDone)
-	return results, nil
+	return x.results, nil
 }
 
 // TheoremReport is the outcome of validating Theorem 3.1 on one program:

@@ -50,8 +50,8 @@ func TestCheckTelemetryCounts(t *testing.T) {
 }
 
 // TestCheckTelemetryDeterministic: the deterministic Record must be
-// byte-for-byte identical across worker counts and pipeline modes — it
-// is a function of the explored search tree, not of scheduling.
+// byte-for-byte identical across worker counts — it is a function of the
+// explored search tree, not of scheduling.
 func TestCheckTelemetryDeterministic(t *testing.T) {
 	prog := litmus.Seqlocks()
 	var want telemetry.Record
@@ -59,7 +59,6 @@ func TestCheckTelemetryDeterministic(t *testing.T) {
 		{Workers: 1},
 		{Workers: 2},
 		{Workers: 5},
-		{Materialize: true},
 	} {
 		c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
 		opts.Telemetry = c

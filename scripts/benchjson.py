@@ -16,12 +16,12 @@ Usage:
 
   benchjson.py check-telemetry NEW.json BASELINE.json
       Gate the disabled-telemetry overhead: for every BenchmarkEnumerate
-      .../por and BenchmarkCheckProgram/.../{streaming,materialize}
-      present in both files, compute the ns/op ratio — normalized by the
+      .../por and BenchmarkCheckProgram/.../streaming present in both
+      files, compute the ns/op ratio — normalized by the
       median drift of the reference benchmarks the instrumentation does
       not touch, to factor out machine speed. The MEDIAN regression over
       that gated set must stay within 2% (single-bench ns/op carries a
-      ~±5% alignment/neighbor-load noise floor that a median over eleven
+      ~±5% alignment/neighbor-load noise floor that a median over seven
       hot-path benchmarks cancels), and no individual benchmark may
       regress more than 10%. The "+tel" variants (instrumentation
       enabled) are reported informationally against their plain
@@ -45,8 +45,6 @@ Usage:
           the fresh/arena allocs ratio must stay >= 10x (the arena floor).
         * BenchmarkTransClosure and BenchmarkCompose bitset kernels must
           stay >= 4x faster than the []bool reference at every size.
-        * BenchmarkCheckProgram/<prog>/streaming must not be slower than
-          the materializing two-phase pipeline (5% tolerance).
       Solver gates (applied when BenchmarkSolve is present in NEW;
       machine-independent ratios within one run):
         * BenchmarkSolve/<prog>/solve must be >= 10x faster than the
@@ -66,11 +64,10 @@ TOLERANCE = 0.10
 MIN_SPEEDUP = 2.0
 MAX_ALLOCS_PER_CYCLE = 0.05
 
-# Race-classification (bitset kernel / streaming pipeline) floors.
+# Race-classification (bitset kernel) floors.
 MAX_ARENA_ALLOCS = 2.0
 MIN_ARENA_ALLOC_RATIO = 10.0
 MIN_KERNEL_SPEEDUP = 4.0
-STREAMING_TOLERANCE = 0.05
 
 # Constraint-solving backend floor: on contention-dominated programs the
 # solver must beat full enumeration by at least this much. The measured
@@ -83,7 +80,7 @@ MIN_SOLVE_SPEEDUP = 10.0
 # The 2% ceiling applies to the MEDIAN normalized regression across the
 # gated set: per-bench ns/op on a shared runner has a ~±5% noise floor
 # even best-of-5 (code/alignment luck plus neighbor load), so individual
-# benchmarks cannot support a 2% comparison, but the median over eleven
+# benchmarks cannot support a 2% comparison, but the median over seven
 # independent hot-path benchmarks cancels that noise. A per-bench
 # backstop still catches any single benchmark blowing up outright.
 TELEMETRY_TOLERANCE = 0.02
@@ -92,7 +89,6 @@ TELEMETRY_BENCH_CEILING = 0.10
 TELEMETRY_GATED = (
     ("BenchmarkEnumerate/", "/por"),
     ("BenchmarkCheckProgram/", "/streaming"),
-    ("BenchmarkCheckProgram/", "/materialize"),
 )
 # Normalization reference prefixes: benchmarks the checker
 # instrumentation does not touch, so their drift between two runs is
@@ -211,8 +207,8 @@ def check(new, base):
 
 def check_raceclass(newm):
     """Machine-independent floors for the bitset relation kernels and the
-    streaming race-classification pipeline. Each gate only fires when its
-    benchmarks are present, so older baselines pass unchanged."""
+    arena race classifier. Each gate only fires when its benchmarks are
+    present, so older baselines pass unchanged."""
     failures = []
 
     # Arena analysis: absolute allocs/op ceiling plus fresh/arena ratio.
@@ -250,22 +246,6 @@ def check_raceclass(newm):
         if speedup < MIN_KERNEL_SPEEDUP:
             failures.append(
                 f"{name}: {speedup:.2f}x vs reference < {MIN_KERNEL_SPEEDUP}x floor"
-            )
-
-    # Streaming must dominate the two-phase materializing pipeline.
-    for name, metrics in sorted(newm.items()):
-        if not (name.startswith("BenchmarkCheckProgram/") and name.endswith("/streaming")):
-            continue
-        mat = newm.get(name[: -len("/streaming")] + "/materialize", {}).get("ns/op")
-        got = metrics.get("ns/op")
-        if not mat or not got:
-            continue
-        prog = name[len("BenchmarkCheckProgram/"):-len("/streaming")]
-        print(f"streaming vs materialize [{prog}]: {mat / got:.2f}x")
-        if got > (1 + STREAMING_TOLERANCE) * mat:
-            failures.append(
-                f"{name}: streaming {got:.0f} ns/op slower than "
-                f"materialize {mat:.0f} ns/op (>{STREAMING_TOLERANCE:.0%})"
             )
 
     return failures
