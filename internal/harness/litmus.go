@@ -24,7 +24,7 @@ type LitmusSweepOptions struct {
 	// 3.1 validation.
 	TheoremOnly bool
 	// Check configures each per-model semantics check (pipeline mode,
-	// execution limit, analysis workers). Its Telemetry field is managed
+	// execution and transition limits). Its Telemetry field is managed
 	// by the sweep.
 	Check memmodel.CheckOptions
 	// Run supplies the sweep-level integration: Progress receives

@@ -8,7 +8,6 @@ import (
 
 	"rats/internal/core"
 	"rats/internal/litmus"
-	"rats/internal/memmodel"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/obs"
 )
@@ -75,7 +74,6 @@ func TestLitmusSweepTelemetryDeterministic(t *testing.T) {
 		prog := obs.NewProgress()
 		_, err := LitmusSweep(suite, LitmusSweepOptions{
 			Workers: workers,
-			Check:   memmodel.CheckOptions{Workers: 2},
 			Run:     &RunOptions{Checks: reg, Progress: prog, TelemetryOut: &buf},
 		})
 		if err != nil {

@@ -87,8 +87,9 @@ func BenchmarkAnalyze(b *testing.B) {
 }
 
 // BenchmarkCheckProgram measures whole-program verdicts through the
-// default pipeline: POR enumeration streaming into parallel Analyze
-// workers. EXPERIMENTS.md records the pre-bitset serial baseline.
+// default pipeline: POR enumeration streaming into Analyze on the
+// caller's goroutine, so allocs/op do not depend on -cpu.
+// EXPERIMENTS.md records the pre-bitset serial baseline.
 func BenchmarkCheckProgram(b *testing.B) {
 	for _, name := range []string{"WorkQueue", "Seqlocks", "Flags_2", "IRIW"} {
 		tc := litmus.ByName(name)

@@ -133,9 +133,9 @@ type EnumOptions struct {
 	// Recycle, when non-nil, supplies previously released executions for
 	// the enumerator to refill instead of allocating fresh ones — the
 	// other half of the Visit streaming contract: once a consumer is done
-	// with a delivered *Execution it may hand it back (e.g. via a
-	// sync.Pool drained by this hook), making the steady-state pipeline
-	// allocation-free. Returning nil falls back to allocation; recycled
+	// with a delivered *Execution it may hand it back (CheckProgramWith
+	// keeps a one-slot spare this hook drains), making the steady-state
+	// pipeline allocation-free. Returning nil falls back to allocation; recycled
 	// executions must originate from the same Enumerate call.
 	Recycle func() *Execution
 	// Telemetry, when non-nil, receives live engine counters: executions

@@ -254,6 +254,8 @@ func (m *machine) undo(inf *opInfo, mem, regs []int64, oldMem, oldReg int64) {
 // ExploreStats are the explorer's search counters, in the DPLL
 // vocabulary the solver reports.
 type ExploreStats struct {
+	// Executions counts completed paths: searches that ran every event.
+	Executions int64
 	// States counts memoized states (learned entries).
 	States int64
 	// MemoHits counts arrivals at an already-memoized state (conflicts).
@@ -379,6 +381,7 @@ func (x *explorer) step() {
 			x.err = newLimitError(x.prog.Name, x.phase, x.limit, int64(x.execs-1), x.start, x.tel)
 			return
 		}
+		x.stats.Executions++
 		x.tel.IncEnumerated()
 		x.keyBuf = x.lay.appendResultKey(x.keyBuf[:0], x.mem)
 		if !x.results[string(x.keyBuf)] {

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"rats/internal/core"
 	"rats/internal/litmus"
@@ -233,7 +231,9 @@ type Verdict struct {
 	Races map[RaceKind][]string
 	// Execs is the number of SC executions analyzed. The enumerator
 	// applies partial-order reduction, so this counts one representative
-	// per trace of commuting accesses, not every interleaving.
+	// per trace of commuting accesses, not every interleaving. In solve
+	// mode it counts the executions the solver's searches completed (its
+	// telemetry executions), which differs from the enumerator's count.
 	Execs int
 	// SCResults is the set of final memory states over all SC executions
 	// of the (quantum-equivalent) program.
@@ -274,10 +274,6 @@ type CheckOptions struct {
 	// classifies every SC execution; ModeSolve solves for racy executions
 	// instead.
 	Mode Mode
-	// Workers caps the analysis worker pool (enumeration mode only);
-	// <= 0 means GOMAXPROCS. Workers spawn lazily as the enumerator
-	// outpaces analysis, so small programs stay on one goroutine.
-	Workers int
 	// Limit overrides the enumerator's execution limit; 0 means the
 	// enumerator default.
 	Limit int
@@ -292,15 +288,15 @@ type CheckOptions struct {
 	// *CancelError wrapping the context's error.
 	Ctx context.Context
 	// Telemetry, when non-nil, receives the check's live engine counters
-	// (enumeration, pruning, analysis workers, verdict merge) and its
-	// lifecycle transitions. nil disables instrumentation at zero cost.
+	// (enumeration, pruning, analysis, verdict merge) and its lifecycle
+	// transitions. nil disables instrumentation at zero cost.
 	Telemetry *telemetry.Check
 	// Span, when non-nil, is the request-trace parent for this check:
-	// the pipeline opens "enumerate", per-worker "analyze.worker", and
-	// "merge" children under it, and links each enumerate child onto
-	// Telemetry (telemetry.Check.SetSpan) for the engine's own events —
-	// so the engine-internal "enumerated"/"enum.worker" annotations need
-	// Telemetry set too. nil disables tracing at zero cost.
+	// the pipeline opens "enumerate" and "merge" children under it, and
+	// links the enumerate child onto Telemetry (telemetry.Check.SetSpan)
+	// for the engine's own events — so the engine-internal "enumerated"
+	// annotation needs Telemetry set too. nil disables tracing at zero
+	// cost.
 	Span *rtrace.Span
 }
 
@@ -308,16 +304,17 @@ type CheckOptions struct {
 // quantum-equivalent form (as model m distinguishes its accesses) and
 // classifies every race. DRF0 and DRF1 forbid data races only; DRFrlx
 // forbids all five categories. The returned verdict aggregates races
-// across executions. Executions stream from the enumerator straight into
-// a pool of analysis workers, so memory stays bounded regardless of how
-// many executions the program has.
+// across executions. Each execution is analyzed as the enumerator
+// delivers it, on the caller's goroutine, and then recycled, so memory
+// stays bounded regardless of how many executions the program has.
 func CheckProgram(p0 *litmus.Program, m core.Model) (*Verdict, error) {
 	return CheckProgramWith(p0, m, CheckOptions{})
 }
 
 // CheckProgramWith is CheckProgram with an explicit pipeline
-// configuration. The verdict is deterministic — byte-identical across
-// worker counts — because every aggregated field is an order-independent
+// configuration. In enumeration mode the check starts no goroutine; run
+// independent checks concurrently for parallelism. The verdict is
+// deterministic because every aggregated field is an order-independent
 // set union finished by a sort.
 func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Verdict, error) {
 	if opts.Mode == ModeSolve {
@@ -341,138 +338,41 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 	}
 	tel.Begin(int64(effLimit))
 	sp := opts.Span
+
+	// Each execution is analyzed inline in the Visit callback, on the
+	// caller's goroutine, and handed back through Recycle: one Analyzer
+	// arena and one Execution serve every delivery, so memory is O(1) in
+	// the number of executions. Enumeration and analysis interleave, so
+	// the enumerate span covers both.
+	pv := newPartialVerdict()
+	an := NewAnalyzer()
+	var spare *Execution
 	eo := EnumOptions{
 		Quantum: true, Sequential: true, Limit: opts.Limit, Telemetry: tel,
 		Ctx: opts.Ctx, TransitionLimit: opts.TransitionLimit,
-	}
-
-	maxWorkers := opts.Workers
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	var parts []*partialVerdict
-	drain := func() {}
-	if maxWorkers == 1 {
-		// Single-worker streaming runs the analysis inline in the Visit
-		// callback: no channel, no goroutine hand-off, and one Execution
-		// recycled for every delivery, so memory is O(1) in the number of
-		// executions. Enumeration and analysis interleave on one
-		// goroutine, so the enumerate span covers both.
-		pv := newPartialVerdict()
-		parts = append(parts, pv)
-		an := NewAnalyzer()
-		w := tel.Worker()
-		var spare *Execution
-		eo.Recycle = func() *Execution {
+		Recycle: func() *Execution {
 			ex := spare
 			spare = nil
 			return ex
-		}
-		eo.Visit = func(ex *Execution) error {
+		},
+		Visit: func(ex *Execution) error {
 			pv.add(an.Analyze(ex), kinds)
-			w.IncAnalyzed()
+			tel.IncAnalyzed()
 			spare = ex
 			return nil
-		}
-	} else {
-		ch := make(chan *Execution, 4*maxWorkers)
-		var (
-			wg     sync.WaitGroup
-			exPool sync.Pool
-		)
-		// spawn adds one analysis worker with its own arena and verdict
-		// shard. Only the producer goroutine (the Visit callback below)
-		// spawns, so parts needs no lock until wg.Wait returns. Analyzed
-		// executions go back to the pool for the enumerator to refill, so
-		// the steady-state pipeline recycles a bounded working set
-		// (channel capacity + in-flight) instead of allocating per
-		// execution.
-		spawn := func() {
-			pv := newPartialVerdict()
-			parts = append(parts, pv)
-			w := tel.Worker()
-			var wsp *rtrace.Span
-			if sp != nil {
-				wsp = sp.Child("analyze.worker")
-				wsp.SetInt("worker", int64(len(parts)-1))
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				an := NewAnalyzer()
-				if w == nil && wsp == nil {
-					for ex := range ch {
-						pv.add(an.Analyze(ex), kinds)
-						exPool.Put(ex)
-					}
-					return
-				}
-				// Instrumented loop: a blocking receive on an empty
-				// channel means this worker outpaced the enumerator —
-				// count it as an idle wait before parking.
-				var analyzed int64
-				defer func() {
-					if wsp != nil {
-						wsp.SetInt("analyzed", analyzed)
-						wsp.End()
-					}
-				}()
-				for {
-					var ex *Execution
-					var ok bool
-					select {
-					case ex, ok = <-ch:
-					default:
-						w.IncIdle()
-						ex, ok = <-ch
-					}
-					if !ok {
-						return
-					}
-					pv.add(an.Analyze(ex), kinds)
-					w.IncAnalyzed()
-					analyzed++
-					exPool.Put(ex)
-				}
-			}()
-		}
-		spawn()
-		// Enumeration runs sequentially as the pipeline's producer: per
-		// execution it is several times cheaper than analysis, so the
-		// parallelism that matters is on the analysis side, and a single
-		// deterministic producer avoids the first-step fan-out's
-		// goroutine and state-cloning overhead. Additional workers spawn
-		// only on backlog — a channel filling up means analysis is
-		// falling behind — so programs with few executions stay on one
-		// goroutine.
-		eo.Recycle = func() *Execution {
-			ex, _ := exPool.Get().(*Execution)
-			return ex
-		}
-		eo.Visit = func(ex *Execution) error {
-			if len(ch) > len(parts) && len(parts) < maxWorkers {
-				spawn()
-			}
-			ch <- ex
-			return nil
-		}
-		drain = func() {
-			close(ch)
-			wg.Wait()
-		}
+		},
 	}
 	en := sp.Child("enumerate")
 	tel.SetSpan(en)
 	_, err := Enumerate(p, eo)
 	tel.SetSpan(nil)
 	en.End()
-	drain()
 	if err != nil {
 		tel.Finish(StateForErr(err))
 		return nil, err
 	}
 	mg := sp.Child("merge")
-	v := finishVerdict(p0.Name, m, parts, tel)
+	v := finishVerdict(p0.Name, m, pv, tel)
 	mg.End()
 	tel.Finish(telemetry.StateDone)
 	return v, nil
@@ -491,8 +391,9 @@ func StateForErr(err error) telemetry.CheckState {
 	return telemetry.StateFailed
 }
 
-// partialVerdict is one analysis worker's shard of the verdict. All
-// fields are sets (or counts), so merging shards is order-independent.
+// partialVerdict accumulates the verdict as executions are analyzed.
+// All fields are sets (or counts), so the result is independent of
+// delivery order.
 type partialVerdict struct {
 	execs     int
 	scResults map[string]bool
@@ -531,38 +432,19 @@ func (pv *partialVerdict) add(a *Analysis, kinds []RaceKind) {
 	}
 }
 
-// finishVerdict merges worker shards into the final verdict. Set union
-// followed by a sort makes the result independent of how executions were
-// partitioned across workers and of delivery order. The telemetry check
-// (when instrumented) records the merge shape: distinct racy pairs and
-// SC results (deterministic), plus the shard-set entries fed into the
-// union (scheduling-dependent — how executions landed on workers).
-func finishVerdict(name string, m core.Model, parts []*partialVerdict, tel *telemetry.Check) *Verdict {
+// finishVerdict turns the accumulated sets into the final verdict, each
+// race list sorted so the result is independent of delivery order. The
+// telemetry check (when instrumented) records the merge shape: distinct
+// racy pairs and SC results, plus the set entries fed into the merge.
+func finishVerdict(name string, m core.Model, pv *partialVerdict, tel *telemetry.Check) *Verdict {
 	v := &Verdict{
 		Prog: name, Model: m, Legal: true,
 		Races:     map[RaceKind][]string{},
-		SCResults: map[string]bool{},
-	}
-	var merged [NumRaceKinds]map[string]bool
-	var mergeInputs int64
-	for _, pv := range parts {
-		v.Execs += pv.execs
-		for k := range pv.scResults {
-			v.SCResults[k] = true
-		}
-		mergeInputs += int64(len(pv.scResults))
-		for ki, set := range pv.races {
-			mergeInputs += int64(len(set))
-			for d := range set {
-				if merged[ki] == nil {
-					merged[ki] = map[string]bool{}
-				}
-				merged[ki][d] = true
-			}
-		}
+		Execs:     pv.execs,
+		SCResults: pv.scResults,
 	}
 	var distinct int64
-	for ki, set := range merged {
+	for ki, set := range pv.races {
 		if len(set) == 0 {
 			continue
 		}
@@ -575,7 +457,7 @@ func finishVerdict(name string, m core.Model, parts []*partialVerdict, tel *tele
 		sort.Strings(descs)
 		v.Races[RaceKind(ki)] = descs
 	}
-	tel.SetUnion(distinct, mergeInputs, int64(len(v.SCResults)))
+	tel.SetUnion(distinct, distinct+int64(len(v.SCResults)), int64(len(v.SCResults)))
 	return v
 }
 

@@ -161,11 +161,13 @@ func Check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmo
 	}
 	tel.AddSolve(st.Decisions, st.Propagations+cs.nImplied, st.MemoHits+cs.nRefuted, st.States)
 
+	// Execs counts the executions both searches completed, the same
+	// number the telemetry Record reports as executions.
 	v := &memmodel.Verdict{
 		Model: m, Legal: true,
 		Races:     map[memmodel.RaceKind][]string{},
 		SCResults: scResults,
-		Execs:     execs,
+		Execs:     execs + int(st.Executions),
 	}
 	var distinct int64
 	for _, k := range cs.kinds {

@@ -17,9 +17,9 @@ import (
 var models = []core.Model{core.DRF0, core.DRF1, core.DRFrlx}
 
 // normalize strips the one field the solver and enumerator legitimately
-// disagree on: Execs counts enumerated executions, and the solver only
-// enumerates during its confirmation phase (zero when the static split
-// plus state search decide everything).
+// disagree on: Execs counts the executions each backend's searches
+// completed, and the solver's confirmation and state searches complete a
+// different set than the enumerator's partial-order reduction.
 func normalize(v *memmodel.Verdict) *memmodel.Verdict {
 	v.Execs = 0
 	return v
@@ -89,6 +89,29 @@ func TestSolveMatchesEnumerateOnSuite(t *testing.T) {
 			}
 			if !reflect.DeepEqual(normalize(got), normalize(want)) {
 				t.Errorf("%s/%s: solver diverges\n got: %+v\nwant: %+v", p.Name, m, got, want)
+			}
+		}
+	}
+}
+
+// TestSolveCountsExecutions: a solved verdict's Execs is the number of
+// executions the solver's searches completed — exactly its telemetry
+// record's executions — so a legal verdict, whose SC results come from a
+// completed search, never reports zero SC executions.
+func TestSolveCountsExecutions(t *testing.T) {
+	for _, tc := range litmus.Suite() {
+		p := tc.Prog
+		for _, m := range models {
+			tel := telemetry.NewCheck(p.Name, m.String())
+			v, err := Check(p, m, memmodel.CheckOptions{Telemetry: tel})
+			if err != nil {
+				t.Fatalf("%s/%s solve: %v", p.Name, m, err)
+			}
+			if v.Legal && v.Execs == 0 {
+				t.Errorf("%s/%s: %s", p.Name, m, v.Summary())
+			}
+			if rec := tel.Record(); int64(v.Execs) != rec.Executions {
+				t.Errorf("%s/%s: Execs = %d, telemetry executions = %d", p.Name, m, v.Execs, rec.Executions)
 			}
 		}
 	}

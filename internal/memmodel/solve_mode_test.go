@@ -16,7 +16,7 @@ import (
 // TestCheckProgramWithModeSolve exercises the dispatch path callers use:
 // CheckOptions.Mode "solve" must route through the registered backend
 // and agree with default enumeration on the whole suite (Execs excluded:
-// the solver counts only confirmation-phase executions).
+// the solver counts the executions its own searches completed).
 func TestCheckProgramWithModeSolve(t *testing.T) {
 	for _, tc := range litmus.Suite() {
 		for _, m := range []core.Model{core.DRF0, core.DRF1, core.DRFrlx} {

@@ -7,14 +7,15 @@
 // enumeration loops pay nothing when nobody is watching; an enabled
 // check is a handful of uncontended atomic adds per execution.
 //
-// Counters split into two classes. The deterministic ones — executions
-// enumerated, transitions taken, sleep-set skips, memo hits, race pairs,
-// SC results, budget fraction — are pure functions of the explored
-// search tree, identical across worker counts and runs; Record exposes
-// exactly that subset for byte-identical JSONL telemetry artifacts.
-// Scheduling-dependent ones — per-worker analyzed counts, idle waits,
-// pool recycle rates, union-merge input sizes — live only in Snapshot,
-// the live /checks view.
+// A check runs on its caller's goroutine, so every engine counter —
+// executions enumerated, transitions taken, sleep-set skips, memo hits,
+// executions analyzed, recycled and allocated, race pairs, merge inputs,
+// SC results, budget fraction — is a pure function of the explored
+// search tree, identical across runs and GOMAXPROCS settings. Record
+// exposes the subset that forms the byte-identical JSONL telemetry
+// artifact; Snapshot, the live /checks view, adds the rest. Only its
+// wall-clock fields and the suite-level worker attribution
+// (suite_worker) depend on scheduling.
 package telemetry
 
 import (
@@ -62,7 +63,7 @@ func (s CheckState) String() string {
 
 // Check is one program check's live counter block. All methods are safe
 // on a nil receiver (the disabled mode) and for concurrent use: the
-// enumerator, analysis workers, and HTTP snapshotters share one Check.
+// running check and HTTP snapshotters share one Check.
 type Check struct {
 	program string
 	model   string
@@ -83,11 +84,11 @@ type Check struct {
 	transitions atomic.Int64 // DFS transitions taken (execOne calls)
 	sleepSkips  atomic.Int64 // transitions suppressed by the sleep set
 	memoHits    atomic.Int64 // system-model seen-state memo hits
-	analyzed    atomic.Int64 // executions classified by Analyze workers
+	analyzed    atomic.Int64 // executions classified by Analyze
 	recycled    atomic.Int64 // executions refilled from Recycle
 	allocated   atomic.Int64 // executions freshly allocated
 	racePairs   atomic.Int64 // distinct racy pairs in the final verdict
-	mergedRaces atomic.Int64 // union-merge inputs (sum of shard set sizes)
+	mergedRaces atomic.Int64 // merge inputs (race and SC-result set entries)
 	scResults   atomic.Int64 // distinct final memory states
 
 	// Solver counter block (Mode: solve checks only; zero otherwise).
@@ -97,7 +98,6 @@ type Check struct {
 	solveLearned      atomic.Int64 // distinct states memoized
 
 	mu       sync.Mutex
-	workers  []*Worker
 	onFinish func(*Check)
 	traceID  string
 
@@ -163,9 +163,10 @@ func (c *Check) TraceID() string {
 
 // SetSpan links (or, with nil, unlinks) the request-trace span covering
 // the check's current enumeration phase. While linked, the enumerator
-// emits telemetry-fed span events — the sequential path's "enumerated"
-// summary and the parallel pool's per-worker "enum.worker" children —
-// onto it. The caller owns the span's lifetime: unlink before ending it.
+// emits telemetry-fed span events onto it: the sequential path's
+// "enumerated" summary, and per-worker "enum.worker" children when
+// Enumerate fans out. The caller owns the span's lifetime: unlink before
+// ending it.
 func (c *Check) SetSpan(sp *rtrace.Span) {
 	if c != nil {
 		c.span.Store(sp)
@@ -279,6 +280,13 @@ func (c *Check) AddMemoHits(n int64) {
 	}
 }
 
+// IncAnalyzed counts one execution classified by Analyze.
+func (c *Check) IncAnalyzed() {
+	if c != nil {
+		c.analyzed.Add(1)
+	}
+}
+
 // IncRecycled counts one execution refilled from the Recycle hook.
 func (c *Check) IncRecycled() {
 	if c != nil {
@@ -293,8 +301,8 @@ func (c *Check) IncAllocated() {
 	}
 }
 
-// SetUnion records the verdict union-merge outcome: distinct racy pairs,
-// total shard-set entries merged, and distinct final memory states.
+// SetUnion records the verdict merge outcome: distinct racy pairs, the
+// set entries fed into the merge, and distinct final memory states.
 func (c *Check) SetUnion(racePairs, mergedRaces, scResults int64) {
 	if c == nil {
 		return
@@ -328,82 +336,40 @@ func (c *Check) Enumerated() int64 {
 	return c.enumerated.Load()
 }
 
-// Worker registers one analysis worker's counter slot (nil on nil).
-func (c *Check) Worker() *Worker {
-	if c == nil {
-		return nil
-	}
-	w := &Worker{c: c}
-	c.mu.Lock()
-	c.workers = append(c.workers, w)
-	c.mu.Unlock()
-	return w
-}
-
-// Worker is one analysis worker's private counters within a Check.
-type Worker struct {
-	c        *Check
-	analyzed atomic.Int64
-	idle     atomic.Int64
-}
-
-// IncAnalyzed counts one execution classified by this worker.
-func (w *Worker) IncAnalyzed() {
-	if w != nil {
-		w.analyzed.Add(1)
-		w.c.analyzed.Add(1)
-	}
-}
-
-// IncIdle counts one blocking wait on an empty execution channel (the
-// worker outpaced the enumerator).
-func (w *Worker) IncIdle() {
-	if w != nil {
-		w.idle.Add(1)
-	}
-}
-
-// WorkerSnapshot is one worker's share of the live snapshot.
-type WorkerSnapshot struct {
-	Analyzed  int64 `json:"analyzed"`
-	IdleWaits int64 `json:"idle_waits"`
-}
-
-// Snapshot is the live, scheduling-dependent view of a Check: everything
-// Record has plus wall-clock timing, pool recycle counts, union-merge
-// input sizes, and per-worker attribution.
+// Snapshot is the live view of a Check: everything Record has plus the
+// analysis, recycle and merge-input counts, suite-worker attribution, and
+// wall-clock timing.
 type Snapshot struct {
-	Program           string           `json:"program"`
-	Model             string           `json:"model"`
-	State             string           `json:"state"`
-	SuiteWorker       int64            `json:"suite_worker"`
-	Limit             int64            `json:"limit"`
-	Executions        int64            `json:"executions"`
-	Transitions       int64            `json:"transitions"`
-	SleepSkips        int64            `json:"sleep_skips"`
-	PrunedPct         float64          `json:"pruned_pct"`
-	MemoHits          int64            `json:"memo_hits"`
-	Analyzed          int64            `json:"analyzed"`
-	Recycled          int64            `json:"recycled"`
-	Allocated         int64            `json:"allocated"`
-	RacePairs         int64            `json:"race_pairs"`
-	MergedRaces       int64            `json:"merged_races"`
-	SCResults         int64            `json:"sc_results"`
-	BudgetFraction    float64          `json:"budget_fraction"`
-	SolveDecisions    int64            `json:"solve_decisions,omitempty"`
-	SolvePropagations int64            `json:"solve_propagations,omitempty"`
-	SolveConflicts    int64            `json:"solve_conflicts,omitempty"`
-	SolveLearned      int64            `json:"solve_learned,omitempty"`
-	StartedAt         string           `json:"started_at,omitempty"`
-	ElapsedMs         float64          `json:"elapsed_ms"`
-	ExecsPerSec       float64          `json:"execs_per_sec"`
-	Workers           []WorkerSnapshot `json:"workers,omitempty"`
+	Program           string  `json:"program"`
+	Model             string  `json:"model"`
+	State             string  `json:"state"`
+	SuiteWorker       int64   `json:"suite_worker"`
+	Limit             int64   `json:"limit"`
+	Executions        int64   `json:"executions"`
+	Transitions       int64   `json:"transitions"`
+	SleepSkips        int64   `json:"sleep_skips"`
+	PrunedPct         float64 `json:"pruned_pct"`
+	MemoHits          int64   `json:"memo_hits"`
+	Analyzed          int64   `json:"analyzed"`
+	Recycled          int64   `json:"recycled"`
+	Allocated         int64   `json:"allocated"`
+	RacePairs         int64   `json:"race_pairs"`
+	MergedRaces       int64   `json:"merged_races"`
+	SCResults         int64   `json:"sc_results"`
+	BudgetFraction    float64 `json:"budget_fraction"`
+	SolveDecisions    int64   `json:"solve_decisions,omitempty"`
+	SolvePropagations int64   `json:"solve_propagations,omitempty"`
+	SolveConflicts    int64   `json:"solve_conflicts,omitempty"`
+	SolveLearned      int64   `json:"solve_learned,omitempty"`
+	StartedAt         string  `json:"started_at,omitempty"`
+	ElapsedMs         float64 `json:"elapsed_ms"`
+	ExecsPerSec       float64 `json:"execs_per_sec"`
 }
 
 // Record is the deterministic subset of a finished check's counters:
 // every field is a pure function of the explored search tree, so the
-// JSON encoding is byte-identical across runs and worker counts. This is
-// the -telemetry-out JSONL schema.
+// JSON encoding is byte-identical across runs and suite worker counts.
+// This is the -telemetry-out JSONL schema.
 type Record struct {
 	Program        string  `json:"program"`
 	Model          string  `json:"model"`
@@ -514,13 +480,5 @@ func (c *Check) Snapshot() Snapshot {
 			s.ExecsPerSec = float64(s.Executions) / (float64(el) / 1e9)
 		}
 	}
-	c.mu.Lock()
-	for _, w := range c.workers {
-		s.Workers = append(s.Workers, WorkerSnapshot{
-			Analyzed:  w.analyzed.Load(),
-			IdleWaits: w.idle.Load(),
-		})
-	}
-	c.mu.Unlock()
 	return s
 }

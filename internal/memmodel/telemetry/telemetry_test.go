@@ -21,22 +21,17 @@ func TestNilSafety(t *testing.T) {
 	c.IncTransition()
 	c.IncSleepSkip()
 	c.AddMemoHits(3)
+	c.IncAnalyzed()
 	c.IncRecycled()
 	c.IncAllocated()
 	c.SetUnion(1, 2, 3)
 	c.SetSuiteWorker(4)
 	c.SetClock(time.Now)
 	c.Finish(telemetry.StateDone)
-	w := c.Worker()
-	if w != nil {
-		t.Fatalf("nil Check.Worker() = %v, want nil", w)
-	}
-	w.IncAnalyzed()
-	w.IncIdle()
 	if got := c.Record(); got != (telemetry.Record{}) {
 		t.Errorf("nil Record = %+v, want zero", got)
 	}
-	if got := c.Snapshot(); got.Executions != 0 || got.Workers != nil {
+	if got := c.Snapshot(); got != (telemetry.Snapshot{}) {
 		t.Errorf("nil Snapshot = %+v, want zero", got)
 	}
 	if c.State() != telemetry.StateRunning {
@@ -96,11 +91,9 @@ func TestCheckLifecycleAndCounters(t *testing.T) {
 	c.IncRecycled()
 	c.IncAllocated()
 	c.IncAllocated()
-	w0, w1 := c.Worker(), c.Worker()
-	w0.IncAnalyzed()
-	w0.IncAnalyzed()
-	w1.IncAnalyzed()
-	w1.IncIdle()
+	for i := 0; i < 3; i++ {
+		c.IncAnalyzed()
+	}
 	c.SetUnion(4, 9, 2)
 	c.Finish(telemetry.StateDone)
 	// Second Finish must not overwrite the terminal state.
@@ -119,10 +112,7 @@ func TestCheckLifecycleAndCounters(t *testing.T) {
 
 	s := c.Snapshot()
 	if s.Analyzed != 3 || s.Recycled != 1 || s.Allocated != 2 || s.MergedRaces != 9 {
-		t.Errorf("snapshot scheduling counters = %+v", s)
-	}
-	if len(s.Workers) != 2 || s.Workers[0].Analyzed != 2 || s.Workers[1].IdleWaits != 1 {
-		t.Errorf("worker snapshots = %+v", s.Workers)
+		t.Errorf("snapshot analysis counters = %+v", s)
 	}
 	if s.ElapsedMs <= 0 {
 		t.Errorf("elapsed = %v, want > 0", s.ElapsedMs)
@@ -209,11 +199,10 @@ func TestConcurrentCounters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := c.Worker()
 			for i := 0; i < per; i++ {
 				c.IncEnumerated()
 				c.IncTransition()
-				w.IncAnalyzed()
+				c.IncAnalyzed()
 				_ = c.Snapshot()
 			}
 		}()

@@ -2,6 +2,7 @@ package memmodel
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"rats/internal/core"
@@ -49,29 +50,32 @@ func TestCheckTelemetryCounts(t *testing.T) {
 	}
 }
 
-// TestCheckTelemetryDeterministic: the deterministic Record must be
-// byte-for-byte identical across worker counts — it is a function of the
-// explored search tree, not of scheduling.
+// TestCheckTelemetryDeterministic: a check runs on its caller's
+// goroutine, so its counters are a function of the explored search tree,
+// not of scheduling — the deterministic Record and the live analysis,
+// recycle and merge counters must not change with GOMAXPROCS.
 func TestCheckTelemetryDeterministic(t *testing.T) {
 	prog := litmus.Seqlocks()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want telemetry.Record
-	for i, opts := range []CheckOptions{
-		{Workers: 1},
-		{Workers: 2},
-		{Workers: 5},
-	} {
+	var wantLive [4]int64
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
-		opts.Telemetry = c
-		if _, err := CheckProgramWith(prog, core.DRFrlx, opts); err != nil {
+		if _, err := CheckProgramWith(prog, core.DRFrlx, CheckOptions{Telemetry: c}); err != nil {
 			t.Fatal(err)
 		}
-		rec := c.Record()
+		rec, s := c.Record(), c.Snapshot()
+		live := [4]int64{s.Analyzed, s.Recycled, s.Allocated, s.MergedRaces}
 		if i == 0 {
-			want = rec
+			want, wantLive = rec, live
 			continue
 		}
 		if rec != want {
-			t.Errorf("opts %+v: record = %+v, want %+v", opts, rec, want)
+			t.Errorf("GOMAXPROCS=%d: record = %+v, want %+v", procs, rec, want)
+		}
+		if live != wantLive {
+			t.Errorf("GOMAXPROCS=%d: analyzed/recycled/allocated/merged_races = %v, want %v", procs, live, wantLive)
 		}
 	}
 }

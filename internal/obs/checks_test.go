@@ -51,9 +51,8 @@ func checksRegistry() *telemetry.Registry {
 	for i := 0; i < 32; i++ {
 		c1.IncSleepSkip()
 	}
-	w := c1.Worker()
 	for i := 0; i < 24; i++ {
-		w.IncAnalyzed()
+		c1.IncAnalyzed()
 	}
 	for i := 0; i < 20; i++ {
 		c1.IncRecycled()
@@ -152,7 +151,7 @@ func TestChecksEndpointConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := reg.NewCheck(p.Name, core.DRFrlx.String())
 			c.SetSuiteWorker(i)
-			v, err := memmodel.CheckProgramWith(p, core.DRFrlx, memmodel.CheckOptions{Telemetry: c, Workers: 2})
+			v, err := memmodel.CheckProgramWith(p, core.DRFrlx, memmodel.CheckOptions{Telemetry: c})
 			if err != nil {
 				t.Errorf("%s: %v", p.Name, err)
 				return

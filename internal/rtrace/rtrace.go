@@ -16,9 +16,9 @@
 // starts at offset zero, and Finish closes the last phase at the trace's
 // end — so the phases are contiguous, gap-free, and their durations sum
 // to the request duration exactly, always. Free-form child spans
-// (Span.Child) nest under phases for concurrent work — enumeration
-// workers, analysis workers — and are clamped to the trace duration if
-// still open at Finish.
+// (Span.Child) nest under phases for sub-steps and concurrent work —
+// enumeration, merge, enumeration workers — and are clamped to the trace
+// duration if still open at Finish.
 //
 // A finished trace is immutable. Spans recorded against a finished trace
 // (a detached singleflight call outliving the request that led it) are

@@ -233,7 +233,7 @@ func TestDeadlineOnIntractableProgram(t *testing.T) {
 		t.Errorf("response took %s, want within 2x the %dms deadline", elapsed, deadlineMs)
 	}
 
-	// No goroutine leak: the DFS workers and analysis pool must exit.
+	// No goroutine leak: every goroutine the request started must exit.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		closeIdle()
@@ -771,8 +771,8 @@ func TestMetricsExposition(t *testing.T) {
 // TestModeSolveVerdictsMatch: a request with mode "solve" routes through
 // the constraint-solving backend and must report the same legality,
 // races, SC results, and canonical key the default enumeration reports
-// (Execs legitimately differs: the solver only enumerates during its
-// confirmation phase).
+// (Execs legitimately differs: the solver counts the executions its own
+// searches completed).
 func TestModeSolveVerdictsMatch(t *testing.T) {
 	_, srv := newTestServer(t, Options{CacheSize: -1})
 	for _, c := range []struct {
