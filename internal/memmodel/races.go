@@ -457,7 +457,7 @@ func finishVerdict(name string, m core.Model, pv *partialVerdict, tel *telemetry
 		sort.Strings(descs)
 		v.Races[RaceKind(ki)] = descs
 	}
-	tel.SetUnion(distinct, distinct+int64(len(v.SCResults)), int64(len(v.SCResults)))
+	tel.SetUnion(distinct, int64(len(v.SCResults)))
 	return v
 }
 

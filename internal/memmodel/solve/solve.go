@@ -184,7 +184,7 @@ func Check(p0 *litmus.Program, m core.Model, opts memmodel.CheckOptions) (*memmo
 		v.Legal = false
 		distinct += int64(len(descs))
 	}
-	tel.SetUnion(distinct, distinct, int64(len(scResults)))
+	tel.SetUnion(distinct, int64(len(scResults)))
 	out := can.RewriteVerdict(v, p0.Name)
 	tel.Finish(telemetry.StateDone)
 	return out, nil

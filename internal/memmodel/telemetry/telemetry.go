@@ -9,9 +9,9 @@
 //
 // A check runs on its caller's goroutine, so every engine counter —
 // executions enumerated, transitions taken, sleep-set skips, memo hits,
-// executions analyzed, recycled and allocated, race pairs, merge inputs,
-// SC results, budget fraction — is a pure function of the explored
-// search tree, identical across runs and GOMAXPROCS settings. Record
+// executions analyzed, recycled and allocated, race pairs, SC results,
+// budget fraction — is a pure function of the explored search tree,
+// identical across runs and GOMAXPROCS settings. Record
 // exposes the subset that forms the byte-identical JSONL telemetry
 // artifact; Snapshot, the live /checks view, adds the rest. Only its
 // wall-clock fields and the suite-level worker attribution
@@ -88,7 +88,6 @@ type Check struct {
 	recycled    atomic.Int64 // executions refilled from Recycle
 	allocated   atomic.Int64 // executions freshly allocated
 	racePairs   atomic.Int64 // distinct racy pairs in the final verdict
-	mergedRaces atomic.Int64 // merge inputs (race and SC-result set entries)
 	scResults   atomic.Int64 // distinct final memory states
 
 	// Solver counter block (Mode: solve checks only; zero otherwise).
@@ -301,14 +300,13 @@ func (c *Check) IncAllocated() {
 	}
 }
 
-// SetUnion records the verdict merge outcome: distinct racy pairs, the
-// set entries fed into the merge, and distinct final memory states.
-func (c *Check) SetUnion(racePairs, mergedRaces, scResults int64) {
+// SetUnion records the verdict's size: distinct racy pairs and distinct
+// final memory states.
+func (c *Check) SetUnion(racePairs, scResults int64) {
 	if c == nil {
 		return
 	}
 	c.racePairs.Store(racePairs)
-	c.mergedRaces.Store(mergedRaces)
 	c.scResults.Store(scResults)
 }
 
@@ -337,8 +335,8 @@ func (c *Check) Enumerated() int64 {
 }
 
 // Snapshot is the live view of a Check: everything Record has plus the
-// analysis, recycle and merge-input counts, suite-worker attribution, and
-// wall-clock timing.
+// analysis and recycle counts, suite-worker attribution, and wall-clock
+// timing.
 type Snapshot struct {
 	Program           string  `json:"program"`
 	Model             string  `json:"model"`
@@ -354,7 +352,6 @@ type Snapshot struct {
 	Recycled          int64   `json:"recycled"`
 	Allocated         int64   `json:"allocated"`
 	RacePairs         int64   `json:"race_pairs"`
-	MergedRaces       int64   `json:"merged_races"`
 	SCResults         int64   `json:"sc_results"`
 	BudgetFraction    float64 `json:"budget_fraction"`
 	SolveDecisions    int64   `json:"solve_decisions,omitempty"`
@@ -457,7 +454,6 @@ func (c *Check) Snapshot() Snapshot {
 		Recycled:       c.recycled.Load(),
 		Allocated:      c.allocated.Load(),
 		RacePairs:      rec.RacePairs,
-		MergedRaces:    c.mergedRaces.Load(),
 		SCResults:      rec.SCResults,
 		BudgetFraction: rec.BudgetFraction,
 

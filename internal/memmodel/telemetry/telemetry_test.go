@@ -24,7 +24,7 @@ func TestNilSafety(t *testing.T) {
 	c.IncAnalyzed()
 	c.IncRecycled()
 	c.IncAllocated()
-	c.SetUnion(1, 2, 3)
+	c.SetUnion(1, 3)
 	c.SetSuiteWorker(4)
 	c.SetClock(time.Now)
 	c.Finish(telemetry.StateDone)
@@ -94,7 +94,7 @@ func TestCheckLifecycleAndCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.IncAnalyzed()
 	}
-	c.SetUnion(4, 9, 2)
+	c.SetUnion(4, 2)
 	c.Finish(telemetry.StateDone)
 	// Second Finish must not overwrite the terminal state.
 	c.Finish(telemetry.StateFailed)
@@ -111,7 +111,7 @@ func TestCheckLifecycleAndCounters(t *testing.T) {
 	}
 
 	s := c.Snapshot()
-	if s.Analyzed != 3 || s.Recycled != 1 || s.Allocated != 2 || s.MergedRaces != 9 {
+	if s.Analyzed != 3 || s.Recycled != 1 || s.Allocated != 2 {
 		t.Errorf("snapshot analysis counters = %+v", s)
 	}
 	if s.ElapsedMs <= 0 {

@@ -52,13 +52,13 @@ func TestCheckTelemetryCounts(t *testing.T) {
 
 // TestCheckTelemetryDeterministic: a check runs on its caller's
 // goroutine, so its counters are a function of the explored search tree,
-// not of scheduling — the deterministic Record and the live analysis,
-// recycle and merge counters must not change with GOMAXPROCS.
+// not of scheduling — the deterministic Record and the live analysis and
+// recycle counters must not change with GOMAXPROCS.
 func TestCheckTelemetryDeterministic(t *testing.T) {
 	prog := litmus.Seqlocks()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want telemetry.Record
-	var wantLive [4]int64
+	var wantLive [3]int64
 	for i, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		c := telemetry.NewCheck(prog.Name, core.DRFrlx.String())
@@ -66,7 +66,7 @@ func TestCheckTelemetryDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec, s := c.Record(), c.Snapshot()
-		live := [4]int64{s.Analyzed, s.Recycled, s.Allocated, s.MergedRaces}
+		live := [3]int64{s.Analyzed, s.Recycled, s.Allocated}
 		if i == 0 {
 			want, wantLive = rec, live
 			continue
@@ -75,7 +75,7 @@ func TestCheckTelemetryDeterministic(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%d: record = %+v, want %+v", procs, rec, want)
 		}
 		if live != wantLive {
-			t.Errorf("GOMAXPROCS=%d: analyzed/recycled/allocated/merged_races = %v, want %v", procs, live, wantLive)
+			t.Errorf("GOMAXPROCS=%d: analyzed/recycled/allocated = %v, want %v", procs, live, wantLive)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func checksRegistry() *telemetry.Registry {
 	for i := 0; i < 4; i++ {
 		c1.IncAllocated()
 	}
-	c1.SetUnion(3, 5, 16)
+	c1.SetUnion(3, 16)
 	c1.Finish(telemetry.StateDone)
 
 	c2 := reg.NewCheck("WorkQueue", "DRF0")

@@ -7,6 +7,8 @@
 package cu
 
 import (
+	"math"
+
 	"rats/internal/core"
 	"rats/internal/probe"
 	"rats/internal/sim/memsys"
@@ -18,6 +20,10 @@ import (
 type warpState struct {
 	ops *trace.Warp
 	pc  int
+	// kind and class cache ops.Ops[pc]'s kind and class (valid while
+	// !atEnd), so the per-cycle issue gates never touch the trace.
+	kind  trace.Kind
+	class core.Class
 	// id is the global warp index (probe attribution).
 	id int
 
@@ -74,6 +80,23 @@ func (w *warpState) allocGroup(n int, atomic bool) int32 {
 	return int32(len(w.groups) - 1)
 }
 
+// advance moves the warp to its next op, caching that op's kind and
+// class, or marks the stream exhausted.
+func (w *warpState) advance() {
+	w.pc++
+	w.load()
+}
+
+// load caches the op at pc, or marks the stream exhausted.
+func (w *warpState) load() {
+	if w.pc >= len(w.ops.Ops) {
+		w.atEnd = true
+		return
+	}
+	op := &w.ops.Ops[w.pc]
+	w.kind, w.class = op.Kind, op.Class
+}
+
 // CU drives the warps placed on one node.
 type CU struct {
 	env  *memsys.Env
@@ -82,6 +105,9 @@ type CU struct {
 
 	warps []*warpState
 	rr    int
+	// issueWidth is how many ops Tick may issue per cycle: one for a
+	// GPU CU, CPUIssuePerCycle for the CPU core.
+	issueWidth int
 
 	// coalescer is the queue of line transactions awaiting L1 issue;
 	// coalescer[coalHead:] holds the live entries (head-index draining
@@ -100,11 +126,24 @@ type CU struct {
 	// barrierWaiters counts warps currently parked at a barrier; the
 	// system driver releases them.
 	barrierWaiters int
+	// retired counts warps with done set.
+	retired int
+
+	// Sleep state (see Sleep). While cycle < sleepUntil the CU is asleep:
+	// Tick only charges idleStalls (the issue stalls its last Tick
+	// counted), and NextWork returns the cached hint sleepWake. changed
+	// records whether anything moved since the last Tick began; a Tick
+	// that changed nothing is the only one whose stall count is
+	// representative of the cycles that follow it.
+	sleepUntil int64
+	sleepWake  int64
+	idleStalls int64
+	changed    bool
 }
 
 // New builds a CU on the given node over its L1.
 func New(env *memsys.Env, node int, l1 *memsys.L1, txnSeq *int64) *CU {
-	return &CU{env: env, node: node, l1: l1, txnSeq: txnSeq, st: env.Stats,
+	return &CU{env: env, node: node, l1: l1, txnSeq: txnSeq, st: env.Stats, issueWidth: 1,
 		coalescer: make([]*memsys.Txn, 0, env.Cfg.CoalescerQueue)}
 }
 
@@ -140,6 +179,8 @@ func (c *CU) TxnDone(t *memsys.Txn, cycle, value int64) {
 				w.outLoads--
 			}
 			c.clearFence(w)
+			// Every issue gate is a function of the outstanding counts.
+			c.wake()
 		}
 	}
 	c.txnFree = append(c.txnFree, t)
@@ -150,29 +191,21 @@ func (c *CU) TxnDone(t *memsys.Txn, cycle, value int64) {
 func (c *CU) AddWarp(w *trace.Warp) {
 	ws := &warpState{ops: w, id: c.env.WarpSeq}
 	c.env.WarpSeq++
-	if len(w.Ops) == 0 {
-		ws.atEnd = true
+	ws.load()
+	if ws.atEnd {
 		ws.done = true
+		c.retired++
+	}
+	if len(c.warps) == 0 && w.IsCPU {
+		c.issueWidth = c.env.Cfg.CPUIssuePerCycle
 	}
 	c.warps = append(c.warps, ws)
 }
 
-// NumWarps returns the warp count.
-func (c *CU) NumWarps() int { return len(c.warps) }
-
 // Done reports whether every warp has retired and all transactions
-// completed.
-func (c *CU) Done() bool {
-	if c.depth() > 0 {
-		return false
-	}
-	for _, w := range c.warps {
-		if !w.done || w.outLoads > 0 || w.outAtomics > 0 {
-			return false
-		}
-	}
-	return true
-}
+// completed. A warp retires only with nothing outstanding and never
+// issues again, so the retired count alone covers its transactions.
+func (c *CU) Done() bool { return c.depth() == 0 && c.retired == len(c.warps) }
 
 // BarrierWaiters returns the number of warps parked at a barrier.
 func (c *CU) BarrierWaiters() int { return c.barrierWaiters }
@@ -183,13 +216,11 @@ func (c *CU) ReleaseBarrier() {
 	for _, w := range c.warps {
 		if w.atBarrier {
 			w.atBarrier = false
-			w.pc++
-			if w.pc >= len(w.ops.Ops) {
-				w.atEnd = true
-			}
+			w.advance()
 		}
 	}
 	c.barrierWaiters = 0
+	c.wake()
 }
 
 // L1 exposes the CU's cache controller (for the barrier protocol).
@@ -218,30 +249,32 @@ func (c *CU) linesOf(addrs []uint64) []uint64 {
 	return lines
 }
 
-// canIssue evaluates the consistency gates for a warp's next op.
-func (c *CU) canIssue(w *warpState, op *trace.Op) bool {
-	if !op.Kind.IsMem() && op.Kind != trace.Barrier && op.Kind != trace.Join {
-		return true
-	}
-	if op.Kind == trace.Barrier || op.Kind == trace.Join {
+// canIssue evaluates the consistency gates for a warp's next op, from
+// the warp's cached op kind and class.
+func (c *CU) canIssue(w *warpState) bool {
+	switch w.kind {
+	case trace.Load, trace.Store, trace.Atomic:
+	case trace.Barrier, trace.Join:
 		// Barriers carry paired semantics; joins model register
 		// dependencies: both wait for everything outstanding.
 		return w.outLoads == 0 && w.outAtomics == 0
+	default:
+		return true
 	}
-	b := c.env.Cfg.Behavior(op.Class)
+	b := c.env.Cfg.Behavior(w.class)
 	if b.Overlap == core.OverlapNone {
 		if w.outLoads > 0 || w.outAtomics > 0 {
 			return false
 		}
 	}
-	if b.Overlap == core.OverlapAtomicSerial && op.Kind == trace.Atomic && w.outAtomics > 0 {
+	if b.Overlap == core.OverlapAtomicSerial && w.kind == trace.Atomic && w.outAtomics > 0 {
 		return false
 	}
 	// Bound per-warp MLP (instructions in flight).
 	if w.outLoads+w.outAtomics >= c.env.Cfg.MaxOutstandingPerWarp {
 		return false
 	}
-	if op.Kind == trace.Atomic && w.outAtomics >= c.env.Cfg.MaxOutstandingAtomicsPerWarp {
+	if w.kind == trace.Atomic && w.outAtomics >= c.env.Cfg.MaxOutstandingAtomicsPerWarp {
 		return false
 	}
 	return true
@@ -266,17 +299,22 @@ func (c *CU) issueOp(cycle int64, w *warpState, op *trace.Op) bool {
 		if !w.waitingFlush {
 			w.waitingFlush = true
 			w.flushDone = false
+			c.changed = true
 			c.st.ReleaseFlushes++
 			if h := c.env.Probe; h != nil {
 				h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompCU, Node: c.node,
 					Warp: w.id, Kind: probe.ReleaseFlush})
 			}
-			c.l1.Flush(cycle, func(int64) { w.flushDone = true })
+			c.l1.Flush(cycle, func(int64) {
+				w.flushDone = true
+				c.wake()
+			})
 		}
 		if !w.flushDone {
 			return false
 		}
 		w.waitingFlush = false
+		c.changed = true
 	}
 
 	// Estimate transaction count and check coalescer space.
@@ -409,11 +447,25 @@ func (c *CU) push(w *warpState, t *memsys.Txn) {
 // cycle shows up as diverging architectural counters in the equivalence
 // tests rather than being masked.
 func (c *CU) Tick(cycle int64, quiet bool) {
+	if cycle < c.sleepUntil {
+		// Asleep: this cycle would repeat the Tick that put the CU to
+		// sleep — no state change, the same issue stalls. Only skipping
+		// mode sleeps, and it has no quiet cycles.
+		c.st.WarpIssueStalls += c.idleStalls
+		if h := c.env.Probe; h != nil {
+			c.trackStalls(cycle, h)
+		}
+		return
+	}
+	c.changed = false
+	stalls := c.st.WarpIssueStalls
 	// Retirement: the op stream is exhausted, trailing compute has
 	// elapsed, and no memory operations remain in flight.
 	for _, w := range c.warps {
 		if w.atEnd && !w.done && w.busyUntil <= cycle && w.outLoads == 0 && w.outAtomics == 0 {
 			w.done = true
+			c.retired++
+			c.changed = true
 		}
 	}
 	// Coalescer → L1 (one transaction per cycle port).
@@ -425,6 +477,7 @@ func (c *CU) Tick(cycle int64, quiet bool) {
 				c.coalescer = c.coalescer[:0]
 				c.coalHead = 0
 			}
+			c.changed = true
 			if h := c.env.Probe; h != nil {
 				h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompCU, Node: c.node,
 					Warp: t.Warp, Kind: probe.CoalescerDrain, Txn: t.ID, Addr: t.Addr})
@@ -432,15 +485,13 @@ func (c *CU) Tick(cycle int64, quiet bool) {
 		}
 	}
 
-	issues := 1
-	if len(c.warps) > 0 && c.warps[0].ops.IsCPU {
-		issues = c.env.Cfg.CPUIssuePerCycle
-	}
-	for n := 0; n < issues; n++ {
+	for n := 0; n < c.issueWidth; n++ {
 		if !c.issueOne(cycle, quiet) {
 			break
 		}
+		c.changed = true
 	}
+	c.idleStalls = c.st.WarpIssueStalls - stalls
 	if h := c.env.Probe; h != nil && !quiet {
 		c.trackStalls(cycle, h)
 	}
@@ -449,11 +500,12 @@ func (c *CU) Tick(cycle int64, quiet bool) {
 // issueOne finds one ready warp round-robin and issues its next op.
 func (c *CU) issueOne(cycle int64, quiet bool) bool {
 	nw := len(c.warps)
-	if nw == 0 {
-		return false
-	}
+	i := c.rr
 	for k := 0; k < nw; k++ {
-		w := c.warps[(c.rr+k)%nw]
+		w := c.warps[i]
+		if i++; i == nw {
+			i = 0
+		}
 		if w.done || w.atEnd || w.atBarrier || w.fence || w.busyUntil > cycle {
 			continue
 		}
@@ -463,19 +515,18 @@ func (c *CU) issueOne(cycle int64, quiet bool) bool {
 			}
 			continue
 		}
-		op := &w.ops.Ops[w.pc]
-		if !c.canIssue(w, op) {
+		if !c.canIssue(w) {
 			if !quiet {
 				c.st.WarpIssueStalls++
 			}
 			continue
 		}
-		switch op.Kind {
+		switch w.kind {
 		case trace.Compute:
-			w.busyUntil = cycle + int64(op.Cycles)
+			w.busyUntil = cycle + int64(w.ops.Ops[w.pc].Cycles)
 			c.st.CoreOps++
 		case trace.ScratchLoad, trace.ScratchStore:
-			w.busyUntil = cycle + int64(op.Cycles)
+			w.busyUntil = cycle + int64(w.ops.Ops[w.pc].Cycles)
 			c.st.CoreOps++
 			c.st.ScratchAccesses++
 		case trace.Barrier:
@@ -485,12 +536,12 @@ func (c *CU) issueOne(cycle int64, quiet bool) bool {
 				h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompCU, Node: c.node,
 					Warp: w.id, Kind: probe.BarrierArrive})
 			}
-			c.rr = (c.rr + k + 1) % nw
+			c.rr = i
 			return true
 		case trace.Join:
 			// Pure dependency marker: free once issuable.
 		default:
-			if !c.issueOp(cycle, w, op) {
+			if !c.issueOp(cycle, w, &w.ops.Ops[w.pc]) {
 				if !quiet {
 					c.st.WarpIssueStalls++
 				}
@@ -500,13 +551,10 @@ func (c *CU) issueOne(cycle int64, quiet bool) bool {
 		}
 		if h := c.env.Probe; h != nil {
 			h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompCU, Node: c.node,
-				Warp: w.id, Kind: probe.WarpIssue, Arg: int64(op.Kind)})
+				Warp: w.id, Kind: probe.WarpIssue, Arg: int64(w.kind)})
 		}
-		w.pc++
-		if w.pc >= len(w.ops.Ops) {
-			w.atEnd = true
-		}
-		c.rr = (c.rr + k + 1) % nw
+		w.advance()
+		c.rr = i
 		return true
 	}
 	return false
@@ -521,6 +569,11 @@ func (c *CU) issueOne(cycle int64, quiet bool) bool {
 // hint did not report would silently change timing. The equivalence
 // tests (skip on vs off) pin this property.
 func (c *CU) NextWork(cycle int64) int64 {
+	if cycle+1 < c.sleepUntil {
+		// Asleep and not due next cycle: nothing the hint reads has
+		// changed since it was cached.
+		return c.sleepWake
+	}
 	if c.depth() > 0 {
 		// A queued transaction retries L1 issue every cycle.
 		return cycle + 1
@@ -545,29 +598,67 @@ func (c *CU) NextWork(cycle int64) int64 {
 			if w.outLoads == 0 && w.outAtomics == 0 {
 				min(w.busyUntil)
 			}
-		case w.fence, w.waitingFlush && !w.flushDone:
-			// SC fence / release flush: unblocked by completions.
+		case w.fence:
+			// SC fence: unblocked by completions.
 		case w.busyUntil > cycle:
 			// Computing: the next op issues (or begins stalling) the moment
 			// compute finishes, regardless of memory still in flight.
 			min(w.busyUntil)
 		default:
-			// Ready warp. A wedged warp must stay hot so the fault tally and
-			// the watchdog timeline match cycle-by-cycle execution exactly.
-			if f := c.env.Fault; f != nil && f.WedgeActive(w.id, cycle+1) {
-				min(cycle + 1)
+			// Ready, or waiting on a release flush: issue polls the warp
+			// every cycle, and from a wedge's first cycle on each poll bumps
+			// the fault tally. So the wedge start is work, and a wedged warp
+			// stays hot, matching cycle-by-cycle execution exactly.
+			if f := c.env.Fault; f != nil {
+				if from, ok := f.WedgeStart(w.id); ok {
+					min(from)
+					if from <= cycle+1 {
+						continue
+					}
+				}
+			}
+			if w.waitingFlush && !w.flushDone {
+				// Release flush: unblocked by the flush callback.
 				continue
 			}
 			// If the consistency gates pass, the warp issues (or retries a
 			// full coalescer) next cycle. If they fail, every gate is a pure
 			// function of outstanding-op counts, which only completions
 			// change — so the warp is provably idle until the next event.
-			if c.canIssue(w, &w.ops.Ops[w.pc]) {
+			if c.canIssue(w) {
 				min(cycle + 1)
 			}
 		}
 	}
 	return wake
+}
+
+// Sleep puts the CU to sleep after a processed cycle, given its NextWork
+// hint for that cycle, when its Tick changed nothing and the hint is not
+// the next cycle. Until the hint, nothing the CU's Tick reads can change
+// except through a completion (TxnDone), a release-flush callback or a
+// barrier release, and each of those wakes it. Its issue stalls are
+// therefore the same on every cycle in between, which lets System.Run
+// skip its Tick and NextWork while charging the stalls exactly. The
+// hint already stops at the start of a fault wedge on a polled warp, the
+// first cycle whose Tick bumps the wedge tally.
+//
+// Only System.Run's skipping mode calls Sleep; the skip-off reference
+// keeps every CU awake.
+func (c *CU) Sleep(cycle, wake int64) {
+	if c.changed || wake == cycle+1 || cycle+1 < c.sleepUntil {
+		return
+	}
+	c.sleepUntil, c.sleepWake = wake, wake
+	if wake < 0 {
+		c.sleepUntil = math.MaxInt64
+	}
+}
+
+// wake ends any sleep: something outside Tick changed the CU's state.
+func (c *CU) wake() {
+	c.sleepUntil = 0
+	c.changed = true
 }
 
 // CoalescerDepth returns the number of transactions queued for L1 issue
@@ -620,15 +711,7 @@ func (c *CU) Diag(cycle int64) []WarpDiag {
 }
 
 // RetiredWarps counts warps that have finished their op streams.
-func (c *CU) RetiredWarps() int {
-	n := 0
-	for _, w := range c.warps {
-		if w.done {
-			n++
-		}
-	}
-	return n
-}
+func (c *CU) RetiredWarps() int { return c.retired }
 
 // stallReasonOf classifies why a warp cannot issue this cycle (probe
 // attribution; mirrors the gates in canIssue/issueOp).

@@ -76,6 +76,13 @@ func newHarness(model core.Model) *harness {
 }
 
 func (h *harness) step() {
+	h.advance()
+	h.cu.Tick(h.cycle, false)
+}
+
+// advance starts the next cycle and runs everything System.Run runs
+// before the CUs tick: events, deliveries and L1 store-buffer work.
+func (h *harness) advance() {
 	h.cycle++
 	for h.evs.Len() > 0 && h.evs[0].cycle <= h.cycle {
 		e := heap.Pop(&h.evs).(ev)
@@ -85,7 +92,6 @@ func (h *harness) step() {
 	for _, l1 := range h.l1s {
 		l1.Tick(h.cycle)
 	}
-	h.cu.Tick(h.cycle, false)
 }
 
 func (h *harness) runUntilDone(t *testing.T, bound int) {

@@ -482,8 +482,21 @@ func (l *L1) AcquireInvalidate() {
 	}
 }
 
-// L1Diag is one controller's occupancy snapshot for liveness diagnostics
-// and the always-on invariant checks.
+// CapacityViolation reports an MSHR or store buffer holding more entries
+// than its configured capacity, or "" when both are within bounds. The
+// system loop checks it on every processed cycle, so it compares the
+// counters directly rather than building a Diag.
+func (l *L1) CapacityViolation() string {
+	if n, c := l.mshr.Outstanding(), l.env.Cfg.L1MSHRs; n > c {
+		return fmt.Sprintf("node %d MSHR occupancy %d exceeds capacity %d", l.node, n, c)
+	}
+	if n, c := l.sb.Len(), l.env.Cfg.StoreBuffer; n > c {
+		return fmt.Sprintf("node %d store-buffer occupancy %d exceeds capacity %d", l.node, n, c)
+	}
+	return ""
+}
+
+// L1Diag is one controller's occupancy snapshot for liveness diagnostics.
 type L1Diag struct {
 	Node            int
 	MSHROutstanding int

@@ -333,3 +333,31 @@ func TestApplyAtomicValueLayer(t *testing.T) {
 		t.Errorf("word-aligned read = %d", r.env.Read(0x1000))
 	}
 }
+
+// TestCapacityViolation pins the always-on occupancy invariant: within
+// capacity it reports nothing, and once an MSHR or a store buffer holds
+// more entries than the configured capacity it names the node and both
+// counts in the system loop's diagnostic wording.
+func TestCapacityViolation(t *testing.T) {
+	r := newRig(ProtoGPU)
+	l1 := r.l1s[5]
+	noop := DoneFunc(func(int64, int64) {})
+	for i := uint64(0); i < 3; i++ {
+		ld := &Txn{Kind: TxnLoad, Addr: 0x10000 + i*0x1000, Class: core.Data, AOp: core.OpLoad, Done: noop}
+		st := &Txn{Kind: TxnStore, Addr: 0x20000 + i*0x1000, Class: core.Data, AOp: core.OpStore, Done: noop}
+		if !l1.TryIssue(r.cycle, ld) || !l1.TryIssue(r.cycle, st) {
+			t.Fatal("issue rejected")
+		}
+	}
+	if v := l1.CapacityViolation(); v != "" {
+		t.Fatalf("within capacity: %q", v)
+	}
+	r.cfg.StoreBuffer = 2
+	if v, want := l1.CapacityViolation(), "node 5 store-buffer occupancy 3 exceeds capacity 2"; v != want {
+		t.Errorf("store buffer: %q, want %q", v, want)
+	}
+	r.cfg.L1MSHRs = 1
+	if v, want := l1.CapacityViolation(), "node 5 MSHR occupancy 3 exceeds capacity 1"; v != want {
+		t.Errorf("MSHR: %q, want %q", v, want)
+	}
+}

@@ -12,6 +12,7 @@ import (
 
 	"rats/internal/fault"
 	"rats/internal/probe"
+	"rats/internal/sim/timeq"
 	"rats/internal/stats"
 )
 
@@ -50,67 +51,12 @@ type Message struct {
 	Payload Payload
 }
 
-// link identifies a directed link between adjacent nodes.
-type link struct{ from, to int }
-
+// inflight is one queued delivery; the queue orders it by (arrival, seq).
 type inflight struct {
-	arrival int64
-	seq     int64 // FIFO tiebreak for determinism
-	msg     Message
+	msg Message
 	// dup marks an injected duplicate: it occupies links like the
 	// original but is dropped at delivery (endpoints dedupe).
 	dup bool
-}
-
-// pq is a hand-rolled binary min-heap of in-flight messages, ordered by
-// (arrival, seq). container/heap's interface would box every element
-// through `any` on Push/Pop — one allocation per message in each
-// direction — so the sift loops are written out against the concrete
-// element type instead.
-type pq []inflight
-
-func (p pq) less(i, j int) bool {
-	if p[i].arrival != p[j].arrival {
-		return p[i].arrival < p[j].arrival
-	}
-	return p[i].seq < p[j].seq
-}
-
-func (p *pq) push(f inflight) {
-	q := append(*p, f)
-	*p = q
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (p *pq) pop() inflight {
-	q := *p
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*p = q
-	for i := 0; ; {
-		s := i
-		if l := 2*i + 1; l < n && q.less(l, s) {
-			s = l
-		}
-		if r := 2*i + 2; r < n && q.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		q[i], q[s] = q[s], q[i]
-		i = s
-	}
-	return top
 }
 
 // Mesh is the interconnect.
@@ -120,13 +66,17 @@ type Mesh struct {
 	// HopLatency is the per-hop pipeline latency in cycles.
 	HopLatency int64
 
-	nextFree map[link]int64 // earliest cycle each link is free
-	inbox    pq
-	seq      int64
-	recv     []func(Message)
-	stats    *stats.Stats
-	probe    *probe.Hub
-	fault    *fault.Injector
+	// nextFree is the earliest cycle each directed link is free, indexed
+	// by from*Nodes()+to (only adjacent pairs are ever touched).
+	nextFree []int64
+	// inbox holds in-flight messages ordered by (arrival, seq); seq is the
+	// FIFO tiebreak for determinism.
+	inbox timeq.Queue[inflight]
+	seq   int64
+	recv  []func(Message)
+	stats *stats.Stats
+	probe *probe.Hub
+	fault *fault.Injector
 	// kindName renders a payload's Kind for diagnostics (set by the
 	// endpoint package, which defines the codes).
 	kindName func(Payload) string
@@ -146,7 +96,7 @@ func (m *Mesh) SetFault(f *fault.Injector) { m.fault = f }
 func NewMesh(width, height int, hopLatency int64, st *stats.Stats) *Mesh {
 	m := &Mesh{
 		Width: width, Height: height, HopLatency: hopLatency,
-		nextFree: map[link]int64{},
+		nextFree: make([]int64, width*height*width*height),
 		recv:     make([]func(Message), width*height),
 		stats:    st,
 	}
@@ -160,37 +110,6 @@ func (m *Mesh) Nodes() int { return m.Width * m.Height }
 func (m *Mesh) SetReceiver(node int, fn func(Message)) { m.recv[node] = fn }
 
 func (m *Mesh) xy(node int) (x, y int) { return node % m.Width, node / m.Width }
-
-// Route returns the XY path from src to dst as a sequence of node IDs
-// (excluding src, including dst).
-func (m *Mesh) Route(src, dst int) []int {
-	if src < 0 || dst < 0 || src >= m.Nodes() || dst >= m.Nodes() {
-		panic(fmt.Sprintf("noc: route %d -> %d out of range", src, dst))
-	}
-	var path []int
-	x, y := m.xy(src)
-	dx, dy := m.xy(dst)
-	cur := src
-	for x != dx {
-		if x < dx {
-			x++
-		} else {
-			x--
-		}
-		cur = y*m.Width + x
-		path = append(path, cur)
-	}
-	for y != dy {
-		if y < dy {
-			y++
-		} else {
-			y--
-		}
-		cur = y*m.Width + x
-		path = append(path, cur)
-	}
-	return path
-}
 
 // Hops returns the Manhattan distance between two nodes.
 func (m *Mesh) Hops(src, dst int) int {
@@ -229,7 +148,7 @@ func (m *Mesh) Send(cycle int64, msg Message) {
 		}
 	}
 	m.stats.NoCMessages++
-	m.inbox.push(inflight{arrival: t, seq: m.seq, msg: msg})
+	m.inbox.Push(t, m.seq, inflight{msg: msg})
 	if f := m.fault; f != nil && f.Duplicate() {
 		// The duplicate traverses (and occupies) the links like a real
 		// message — a pure timing perturbation — and is dropped at
@@ -237,7 +156,7 @@ func (m *Mesh) Send(cycle int64, msg Message) {
 		m.seq++
 		td := m.route(cycle, msg, m.seq)
 		m.stats.NoCMessages++
-		m.inbox.push(inflight{arrival: td, seq: m.seq, msg: msg, dup: true})
+		m.inbox.Push(td, m.seq, inflight{msg: msg, dup: true})
 		if h := m.probe; h != nil {
 			h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompNoC, Node: msg.Src, Warp: -1,
 				Kind: probe.FaultInjected, Txn: msg.Txn, Msg: m.seq, Arg: 1})
@@ -246,11 +165,12 @@ func (m *Mesh) Send(cycle int64, msg Message) {
 }
 
 // route books the message across its XY path, advancing per-link
-// free times, and returns the delivery cycle. The walk mirrors Route but
-// is inlined hop by hop: materializing the path as a slice allocated on
-// every message, which dominated the simulator's allocation profile.
+// free times, and returns the delivery cycle. The walk goes hop by hop
+// (X first, then Y) without materializing the path: a per-message path
+// slice once dominated the simulator's allocation profile.
 func (m *Mesh) route(cycle int64, msg Message, seq int64) int64 {
-	if msg.Src < 0 || msg.Dst < 0 || msg.Src >= m.Nodes() || msg.Dst >= m.Nodes() {
+	n := m.Nodes()
+	if msg.Src < 0 || msg.Dst < 0 || msg.Src >= n || msg.Dst >= n {
 		panic(fmt.Sprintf("noc: route %d -> %d out of range", msg.Src, msg.Dst))
 	}
 	t := cycle
@@ -270,7 +190,7 @@ func (m *Mesh) route(cycle int64, msg Message, seq int64) int64 {
 				y--
 			}
 			next := y*m.Width + x
-			l := link{prev, next}
+			l := prev*n + next
 			depart := t
 			if nf := m.nextFree[l]; nf > depart {
 				depart = nf
@@ -293,8 +213,11 @@ func (m *Mesh) route(cycle int64, msg Message, seq int64) int64 {
 
 // Tick delivers every message whose arrival time has been reached.
 func (m *Mesh) Tick(cycle int64) {
-	for len(m.inbox) > 0 && m.inbox[0].arrival <= cycle {
-		f := m.inbox.pop()
+	for {
+		if t, ok := m.inbox.Peek(); !ok || t > cycle {
+			return
+		}
+		_, seq, f := m.inbox.Pop()
 		if f.dup {
 			// Injected duplicate: consumed bandwidth, dropped here.
 			continue
@@ -305,21 +228,21 @@ func (m *Mesh) Tick(cycle int64) {
 		}
 		if h := m.probe; h != nil {
 			h.Emit(probe.Event{Cycle: cycle, Comp: probe.CompNoC, Node: f.msg.Dst, Warp: -1,
-				Kind: probe.NoCDeliver, Txn: f.msg.Txn, Msg: f.seq, Arg: int64(f.msg.Src)})
+				Kind: probe.NoCDeliver, Txn: f.msg.Txn, Msg: seq, Arg: int64(f.msg.Src)})
 		}
 		r(f.msg)
 	}
 }
 
 // Pending reports whether messages are still in flight.
-func (m *Mesh) Pending() bool { return len(m.inbox) > 0 }
+func (m *Mesh) Pending() bool { return m.inbox.Len() > 0 }
 
 // NextArrival returns the earliest in-flight arrival cycle, or -1.
 func (m *Mesh) NextArrival() int64 {
-	if len(m.inbox) == 0 {
-		return -1
+	if t, ok := m.inbox.Peek(); ok {
+		return t
 	}
-	return m.inbox[0].arrival
+	return -1
 }
 
 // NextWork is the mesh's wake hint: delivering in-flight messages is its
@@ -340,8 +263,8 @@ type MsgDiag struct {
 
 // InFlight snapshots every undelivered message, soonest arrival first.
 func (m *Mesh) InFlight() []MsgDiag {
-	out := make([]MsgDiag, 0, len(m.inbox))
-	for _, f := range m.inbox {
+	out := make([]MsgDiag, 0, m.inbox.Len())
+	m.inbox.Each(func(arrival, _ int64, f *inflight) {
 		name := ""
 		if m.kindName != nil {
 			name = m.kindName(f.msg.Payload)
@@ -351,9 +274,9 @@ func (m *Mesh) InFlight() []MsgDiag {
 		}
 		out = append(out, MsgDiag{
 			Src: f.msg.Src, Dst: f.msg.Dst, Flits: f.msg.Flits,
-			Arrival: f.arrival, Payload: name, Dup: f.dup,
+			Arrival: arrival, Payload: name, Dup: f.dup,
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
 	return out
 }

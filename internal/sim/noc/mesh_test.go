@@ -17,10 +17,35 @@ func newTestMesh(hop int64) (*Mesh, *stats.Stats, *[]Message) {
 	return m, st, &delivered
 }
 
-func TestRouteXY(t *testing.T) {
+// routeOf returns the path a message from src to dst books on a fresh
+// mesh, as node IDs (excluding src, including dst), read back from the
+// directed links it occupied.
+func routeOf(t *testing.T, src, dst int) []int {
+	t.Helper()
 	m, _, _ := newTestMesh(2)
+	m.route(1, Message{Src: src, Dst: dst, Flits: 1}, 1)
+	n := m.Nodes()
+	var path []int
+	for cur := src; cur != dst; {
+		next := -1
+		for to := 0; to < n; to++ {
+			if m.nextFree[cur*n+to] != 0 {
+				next = to
+				break
+			}
+		}
+		if next < 0 || len(path) == n {
+			t.Fatalf("route %d -> %d: no link out of %d after %v", src, dst, cur, path)
+		}
+		path = append(path, next)
+		cur = next
+	}
+	return path
+}
+
+func TestRouteXY(t *testing.T) {
 	// Node layout: node = y*4 + x.
-	path := m.Route(0, 15) // (0,0) -> (3,3)
+	path := routeOf(t, 0, 15) // (0,0) -> (3,3)
 	want := []int{1, 2, 3, 7, 11, 15}
 	if len(path) != len(want) {
 		t.Fatalf("path %v, want %v", path, want)
@@ -30,8 +55,16 @@ func TestRouteXY(t *testing.T) {
 			t.Fatalf("path %v, want %v", path, want)
 		}
 	}
-	if len(m.Route(5, 5)) != 0 {
+	if len(routeOf(t, 5, 5)) != 0 {
 		t.Error("self route should be empty")
+	}
+	// X first, then Y, in both directions.
+	path = routeOf(t, 14, 1) // (2,3) -> (1,0)
+	want = []int{13, 9, 5, 1}
+	for i := range want {
+		if len(path) != len(want) || path[i] != want[i] {
+			t.Fatalf("path %v, want %v", path, want)
+		}
 	}
 }
 
@@ -191,5 +224,5 @@ func TestRouteOutOfRangePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	m.Route(0, 99)
+	m.Send(0, Message{Src: 0, Dst: 99})
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"rats/internal/core"
+	"rats/internal/fault"
 	"rats/internal/sim/memsys"
+	"rats/internal/stats"
 	"rats/internal/trace"
 	"rats/internal/workloads"
 )
@@ -127,5 +129,66 @@ func TestSkipEquivalenceWedgedWatchdog(t *testing.T) {
 	}
 	if on.RetiredOps != off.RetiredOps {
 		t.Errorf("retired ops at failure: %d (skip) vs %d (reference)", on.RetiredOps, off.RetiredOps)
+	}
+}
+
+// sleepTrace parks warps behind every issue gate a sleeping CU can wait
+// on: an SC fence, a release flush, the per-warp MLP cap, a Join and the
+// device-wide barrier.
+func sleepTrace() *trace.Trace {
+	tr := trace.New("sleep-gates")
+	a := tr.AddWarp(0)
+	a.Atomic(core.Paired, core.OpInc, 1, 0x4000).Compute(1)
+	a.Store(core.Data, 0x8000).Store(core.Data, 0x8040).AtomicStore(core.Paired, 0x9000, 1)
+	a.Barrier().Load(core.Data, 0x1000).Join()
+	b := tr.AddWarp(1)
+	for i := uint64(0); i < 8; i++ {
+		b.Load(core.Data, 0x10000+i*0x1000)
+	}
+	b.Join().Barrier()
+	c := tr.AddWarp(2)
+	c.Load(core.Data, 0x30000).Join().Barrier().Compute(5)
+	return tr
+}
+
+// TestSkipEquivalenceSleepingCUs runs sleepTrace with idle CUs sleeping
+// (skipping on) and with every CU ticked every cycle (skipping off), under
+// every protocol and model, and once more with a wedge that starts while
+// warp 2's CU sleeps on its Join. Stats — issue stalls included — fault
+// tallies and the watchdog's firing cycle must match.
+func TestSkipEquivalenceSleepingCUs(t *testing.T) {
+	run := func(cfg memsys.Config, skip bool) (stats.Stats, fault.Counts, error) {
+		s := New(cfg)
+		s.SetCycleSkipping(skip)
+		if err := s.Load(sleepTrace()); err != nil {
+			t.Fatal(err)
+		}
+		_, err := s.Run()
+		counts, _ := s.FaultCounts()
+		return s.stats, counts, err
+	}
+	check := func(name string, cfg memsys.Config) {
+		on, onCounts, onErr := run(cfg, true)
+		off, offCounts, offErr := run(cfg, false)
+		if on != off {
+			t.Errorf("%s: stats diverge with sleeping CUs\non:  %+v\noff: %+v", name, on, off)
+		}
+		if onCounts != offCounts {
+			t.Errorf("%s: fault tallies diverge\non:  %+v\noff: %+v", name, onCounts, offCounts)
+		}
+		if (onErr == nil) != (offErr == nil) || onErr != nil && onErr.Error() != offErr.Error() {
+			t.Errorf("%s: outcomes diverge\non:  %v\noff: %v", name, onErr, offErr)
+		}
+	}
+	for cfgName, cfg := range allConfigs() {
+		check(cfgName, cfg)
+	}
+	cfg := memsys.Default(memsys.ProtoGPU, core.DRF0)
+	cfg.Faults = mustSpec(t, "wedge:warp=2,from=30")
+	cfg.FaultSeed = 1
+	cfg.WatchdogWindow = 2000
+	check("GD0/wedge", cfg)
+	if _, counts, err := run(cfg, true); err == nil || counts.WedgeHolds == 0 {
+		t.Errorf("wedged run: err %v, wedge holds %d; want a watchdog error after held slots", err, counts.WedgeHolds)
 	}
 }

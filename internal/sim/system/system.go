@@ -15,69 +15,10 @@ import (
 	"rats/internal/sim/cu"
 	"rats/internal/sim/memsys"
 	"rats/internal/sim/noc"
+	"rats/internal/sim/timeq"
 	"rats/internal/stats"
 	"rats/internal/trace"
 )
-
-// event is a scheduled continuation, ordered by (cycle, seq) so
-// same-cycle events fire in scheduling order (the FIFO contract of
-// Env.At).
-type event struct {
-	cycle int64
-	seq   int64
-	d     memsys.Deferred
-}
-
-// eventQueue is a hand-rolled binary min-heap of events. container/heap
-// funnels elements through `any`, boxing every push and pop; the typed
-// heap keeps the scheduler allocation-free in steady state.
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) less(i, j int) bool {
-	if q[i].cycle != q[j].cycle {
-		return q[i].cycle < q[j].cycle
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(e event) {
-	h := append(*q, e)
-	*q = h
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{}
-	h = h[:n]
-	*q = h
-	for i := 0; ; {
-		s := i
-		if l := 2*i + 1; l < n && h.less(l, s) {
-			s = l
-		}
-		if r := 2*i + 2; r < n && h.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	return top
-}
 
 // System is one assembled machine instance.
 type System struct {
@@ -89,13 +30,18 @@ type System struct {
 	cus   []*cu.CU
 	stats stats.Stats
 
-	events eventQueue
+	// events holds scheduled continuations ordered by (cycle, seq), so
+	// same-cycle events fire in scheduling order (the FIFO contract of
+	// Env.At).
+	events timeq.Queue[memsys.Deferred]
 	evSeq  int64
 	cycle  int64
 	txnSeq int64
 	tr     *trace.Trace
-	probe  *probe.Hub
-	inj    *fault.Injector
+	// warps is the number of warps Load placed (barrier participation).
+	warps int
+	probe *probe.Hub
+	inj   *fault.Injector
 	// skipOff disables fast-forwarding so every cycle is processed — the
 	// reference mode cycle skipping is validated against. quietUntil marks
 	// cycles the skip oracle proved idle: in skip-off mode they are still
@@ -165,9 +111,11 @@ func (s *System) FaultCounts() (fault.Counts, bool) {
 // Safe to call from another goroutine (wall-clock timeouts).
 func (s *System) Abort(reason string) { s.abortMsg.Store(&reason) }
 
-// SetCycleSkipping toggles the event-driven fast-forward (on by default).
-// With skipping off every cycle is processed individually; results must
-// be identical either way — the equivalence tests pin this.
+// SetCycleSkipping toggles the event-driven fast-forward (on by default),
+// and with it the sleeping of idle CUs between their wake hints. With
+// skipping off every cycle is processed individually and every CU ticks
+// on each; results must be identical either way — the equivalence tests
+// pin this.
 func (s *System) SetCycleSkipping(on bool) { s.skipOff = !on }
 
 // AttachProbe enables the observability layer: every component's
@@ -191,7 +139,7 @@ func (s *System) at(cycle int64, d memsys.Deferred) {
 		cycle = s.cycle + 1
 	}
 	s.evSeq++
-	s.events.push(event{cycle: cycle, seq: s.evSeq, d: d})
+	s.events.Push(cycle, s.evSeq, d)
 }
 
 // deliver routes a network message to the right component: L2 requests go
@@ -219,6 +167,7 @@ func (s *System) Load(tr *trace.Trace) error {
 		}
 		s.cus[node].AddWarp(w)
 	}
+	s.warps = len(tr.Warps)
 	return nil
 }
 
@@ -249,9 +198,12 @@ func (s *System) Run() (*Result, error) {
 			s.probe.Tick(s.cycle, &s.stats)
 		}
 		// 1. Run scheduled events.
-		for s.events.Len() > 0 && s.events[0].cycle <= s.cycle {
-			e := s.events.pop()
-			e.d.Fire(s.cycle)
+		for {
+			if t, ok := s.events.Peek(); !ok || t > s.cycle {
+				break
+			}
+			_, _, d := s.events.Pop()
+			d.Fire(s.cycle)
 		}
 		// 2. Deliver network messages.
 		s.mesh.Tick(s.cycle)
@@ -280,16 +232,8 @@ func (s *System) Run() (*Result, error) {
 		}
 		prevCoreOps = s.stats.CoreOps
 		for _, l1 := range s.l1s {
-			d := l1.Diag()
-			if d.MSHROutstanding > d.MSHRCapacity {
-				return nil, s.diagnose(fmt.Sprintf(
-					"invariant violated: node %d MSHR occupancy %d exceeds capacity %d",
-					d.Node, d.MSHROutstanding, d.MSHRCapacity))
-			}
-			if d.SBQueued > d.SBCapacity {
-				return nil, s.diagnose(fmt.Sprintf(
-					"invariant violated: node %d store-buffer occupancy %d exceeds capacity %d",
-					d.Node, d.SBQueued, d.SBCapacity))
+			if v := l1.CapacityViolation(); v != "" {
+				return nil, s.diagnose("invariant violated: " + v)
 			}
 		}
 		// Liveness watchdog: no counter moved for a whole window.
@@ -332,12 +276,15 @@ func (s *System) Run() (*Result, error) {
 	}
 	s.stats.Cycles = s.cycle
 	s.finishProbe()
+	// Read captures only the value layer and the word size: a closure
+	// over s would keep the whole machine alive as long as the Result.
+	values, word := s.env.Values, s.Cfg.WordSize
 	res := &Result{
 		Name:   s.tr.Name,
 		Cfg:    s.Cfg,
 		Stats:  s.stats,
 		Energy: energy.Compute(&s.stats, energy.DefaultModel()),
-		Read:   func(addr uint64) int64 { return s.env.Values[s.Cfg.WordAddr(addr)] },
+		Read:   func(addr uint64) int64 { return values[addr/word*word] },
 	}
 	if s.tr.FinalCheck != nil {
 		if err := s.tr.FinalCheck(res.Read); err != nil {
@@ -538,16 +485,12 @@ func (s *System) barrierReady() (waiting int, ok bool) {
 	if waiting == 0 {
 		return 0, false
 	}
-	live := 0
-	for _, c := range s.cus {
-		live += c.NumWarps()
-	}
 	// Warps that already retired no longer participate.
 	retired := 0
 	for _, c := range s.cus {
 		retired += c.RetiredWarps()
 	}
-	if waiting < live-retired {
+	if waiting < s.warps-retired {
 		return waiting, false
 	}
 	for _, l1 := range s.l1s {
@@ -595,7 +538,13 @@ func (s *System) nextWorkCycle() int64 {
 		}
 	}
 	for _, c := range s.cus {
-		min(c.NextWork(s.cycle))
+		wake := c.NextWork(s.cycle)
+		if !s.skipOff {
+			// An idle CU sleeps until its hint (or a completion) instead of
+			// being ticked and polled every processed cycle.
+			c.Sleep(s.cycle, wake)
+		}
+		min(wake)
 	}
 	for _, l1 := range s.l1s {
 		min(l1.NextWork(s.cycle))
@@ -607,8 +556,8 @@ func (s *System) nextWorkCycle() int64 {
 	if s.inj != nil {
 		min(s.inj.NextWork(s.cycle))
 	}
-	if s.events.Len() > 0 {
-		min(s.events[0].cycle)
+	if t, ok := s.events.Peek(); ok {
+		min(t)
 	}
 	// The driver's own clocked work: a resolvable barrier releases at the
 	// next processed cycle.
@@ -626,4 +575,3 @@ func RunTrace(cfg memsys.Config, tr *trace.Trace) (*Result, error) {
 	}
 	return s.Run()
 }
-
