@@ -73,10 +73,8 @@ func main() {
 	if entry == nil {
 		die(fmt.Errorf("unknown workload %q", *workload))
 	}
-	scale := workloads.Test
-	if *scaleName == "paper" {
-		scale = workloads.Paper
-	}
+	scale, err := workloads.ParseScale(*scaleName)
+	die(err)
 
 	fmt.Printf("sweeping %s on %s/%s\n", *param, *workload, *config)
 	var base float64

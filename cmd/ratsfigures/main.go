@@ -50,10 +50,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	flag.Parse()
-	scale := workloads.Test
-	if *scaleName == "paper" {
-		scale = workloads.Paper
-	}
 
 	want := func(name string) bool { return *only == "" || *only == name }
 	die := func(err error) {
@@ -62,6 +58,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	scale, err := workloads.ParseScale(*scaleName)
+	die(err)
 	// fail reports a sweep error without exiting, so partial figures still
 	// render; the process exits non-zero at the end.
 	exitCode := 0

@@ -68,9 +68,9 @@ func main() {
 		fmt.Println(harness.Table3())
 		return
 	}
-	scale := workloads.Test
-	if *scaleName == "paper" {
-		scale = workloads.Paper
+	scale, err := workloads.ParseScale(*scaleName)
+	if err != nil {
+		fatal(err)
 	}
 	cfg, err := harness.ConfigFor(*config)
 	if err != nil {

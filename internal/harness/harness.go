@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -21,10 +20,10 @@ import (
 	"rats/internal/fault"
 	"rats/internal/memmodel/telemetry"
 	"rats/internal/obs"
+	"rats/internal/probe"
 	"rats/internal/report"
 	"rats/internal/sim/memsys"
 	"rats/internal/sim/system"
-	"rats/internal/trace"
 	"rats/internal/workloads"
 )
 
@@ -98,19 +97,6 @@ type RunOptions struct {
 	// JSONL records when a litmus sweep completes — one JSON object per
 	// check, in suite order, byte-identical across runs and worker counts.
 	TelemetryOut io.Writer
-	// Retries, when positive, re-runs a failed (workload, config) pair up
-	// to this many extra times when the failure looks transient — a
-	// recovered panic or a wall-clock timeout — with exponential backoff
-	// and jitter between attempts. Deterministic failures (bad config,
-	// nil trace) are never retried. Every failed attempt is journaled, so
-	// a resumed sweep picks up the remaining budget instead of starting
-	// the count over, and a pair that exhausted its budget in an earlier
-	// process fails immediately instead of burning the timeouts again.
-	Retries int
-	// RetryBackoff is the delay before the first retry; each further
-	// retry doubles it (plus up to 50% jitter, capped at 5s). Zero means
-	// 100ms.
-	RetryBackoff time.Duration
 }
 
 // apply folds the options into a run configuration.
@@ -128,206 +114,185 @@ func (o *RunOptions) apply(cfg *memsys.Config) {
 	}
 }
 
-// errRunPanic and errRunTimeout classify a run failure for the retry
-// logic. They are sentinels wrapped into the returned error at the point
-// where the failure's nature is known for certain — recovering the panic,
-// observing the timeout timer fire — so classification never depends on
-// what the error message happens to contain (a workload or config whose
-// name mentions "timeout" must not look transient).
-var (
-	errRunPanic   = errors.New("run panicked")
-	errRunTimeout = errors.New("run timed out")
-)
+// run is one simulation of a sweep: a workload under a configuration,
+// with an optional probe sink attached for the run's duration. cfgName
+// keys the run in errors, the journal and Progress.
+type run struct {
+	entry   workloads.Entry
+	cfgName string
+	cfg     memsys.Config
+	sink    probe.Sink
+}
 
-// runOne executes a single (workload, config) pair with panic recovery
-// and an optional wall-clock timeout. A panic anywhere in trace building
-// or simulation is converted into an error carrying the stack, so one
-// broken run cannot take down the rest of a sweep.
-func runOne(entry workloads.Entry, scale workloads.Scale, cfgName string, opts *RunOptions) (res *system.Result, err error) {
+// grid lists every (entry, config) run in workload-major order, each
+// with its own sink from newSink (nil means none). A bad config name is
+// reported in the returned error and its runs are left out.
+func grid(entries []workloads.Entry, cfgNames []string, newSink func() probe.Sink) ([]run, error) {
+	var errs []error
+	cfgs := make([]*memsys.Config, len(cfgNames))
+	for i, name := range cfgNames {
+		cfg, err := ConfigFor(name)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		cfgs[i] = &cfg
+	}
+	var runs []run
+	for _, e := range entries {
+		for i, name := range cfgNames {
+			if cfgs[i] == nil {
+				continue
+			}
+			r := run{entry: e, cfgName: name, cfg: *cfgs[i]}
+			if newSink != nil {
+				r.sink = newSink()
+			}
+			runs = append(runs, r)
+		}
+	}
+	return runs, errors.Join(errs...)
+}
+
+// parallel calls f(i, w) for every i in [0, n) on at most workers
+// goroutines (<= 0 means GOMAXPROCS), starting calls in index order;
+// w in [0, min(workers, n)) names the goroutine making the call. It
+// returns once every call has.
+func parallel(n, workers int, f func(i, w int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i, w)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// runOne executes one run with panic recovery and the options' optional
+// wall-clock timeout, faults and watchdog window. A panic anywhere in
+// trace building or simulation is converted into an error carrying the
+// stack, so one broken run cannot take down the rest of a sweep.
+func runOne(r run, scale workloads.Scale, opts *RunOptions) (res *system.Result, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		if p := recover(); p != nil {
 			res = nil
-			err = fmt.Errorf("%w: panic: %v\n%s", errRunPanic, r, debug.Stack())
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	cfg, err := ConfigFor(cfgName)
-	if err != nil {
-		return nil, err
-	}
+	cfg := r.cfg
 	opts.apply(&cfg)
-	var tr *trace.Trace
-	if tr = entry.Build(scale); tr == nil {
-		return nil, fmt.Errorf("workload %s built a nil trace", entry.Name)
+	tr := r.entry.Build(scale)
+	if tr == nil {
+		return nil, fmt.Errorf("workload %s built a nil trace", r.entry.Name)
 	}
 	sys := system.New(cfg)
+	if r.sink != nil {
+		hub := probe.NewHub()
+		hub.Attach(r.sink)
+		sys.AttachProbe(hub)
+	}
 	if err := sys.Load(tr); err != nil {
 		return nil, err
 	}
-	var timedOut atomic.Bool
 	if opts != nil && opts.Timeout > 0 {
 		d := opts.Timeout
-		t := time.AfterFunc(d, func() {
-			timedOut.Store(true)
-			sys.Abort(fmt.Sprintf("wall-clock timeout %s exceeded", d))
-		})
+		t := time.AfterFunc(d, func() { sys.Abort(fmt.Sprintf("wall-clock timeout %s exceeded", d)) })
 		defer t.Stop()
 	}
-	res, err = sys.Run()
-	if err != nil && timedOut.Load() {
-		err = fmt.Errorf("%w: %w", errRunTimeout, err)
+	if res, err = sys.Run(); err != nil {
+		return nil, err
 	}
-	return res, err
+	if r.sink != nil {
+		if err := r.sink.Close(); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
-// retryable reports whether a run failure is worth re-attempting: a
-// recovered panic or a wall-clock timeout can be a transient scheduling
-// or resource hiccup, while config and trace errors are deterministic
-// and would just fail again.
-func retryable(err error) bool {
-	return errors.Is(err, errRunPanic) || errors.Is(err, errRunTimeout)
-}
-
-// retrySleep is the backoff before retry n (0-based): base doubled n
-// times, capped at 5s, plus up to 50% jitter so retries from parallel
-// workers do not re-collide. Doubling stops at the cap, so a large n
-// cannot overflow the shift into a negative duration.
-func retrySleep(base time.Duration, n int) time.Duration {
-	const max = 5 * time.Second
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	d := base
-	for i := 0; i < n && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
-// runAttempts runs one (workload, config) pair through the retry budget.
-// The journal's attempt history counts against the budget, so a resumed
-// sweep continues where the previous process stopped — and refuses
-// outright when the budget was already exhausted.
-func runAttempts(entry workloads.Entry, scale workloads.Scale, cfgName string, opts *RunOptions) (*system.Result, error) {
-	budget := 1
+// sweep executes the runs on the pool and returns their results in run
+// order. With a journal, already-recorded pairs are restored instead of
+// re-simulated and every completed run is recorded; only completed runs
+// are, so a rerun re-simulates every pair that failed. Progress, when
+// set, follows each run's lifecycle. Failures do not stop the sweep: a
+// failed run leaves a nil result and all errors are joined.
+func sweep(runs []run, scale workloads.Scale, opts *RunOptions) ([]*system.Result, error) {
 	var jnl *Journal
+	var prog *obs.Progress
 	if opts != nil {
-		budget += opts.Retries
-		jnl = opts.Journal
+		jnl, prog = opts.Journal, opts.Progress
 	}
-	start := 0
-	if jnl != nil {
-		n, lastErr := jnl.Attempts(entry.Name, cfgName)
-		if n >= budget {
-			return nil, fmt.Errorf("retry budget exhausted in an earlier sweep (%d attempts; last: %s)", n, lastErr)
-		}
-		start = n
-	}
-	for attempt := start; ; attempt++ {
-		res, err := runOne(entry, scale, cfgName, opts)
-		if err == nil {
-			return res, nil
-		}
-		if !retryable(err) {
-			return nil, err
-		}
+	out := make([]*system.Result, len(runs))
+	errs := make([]error, len(runs))
+	var todo []int
+	for i, r := range runs {
 		if jnl != nil {
-			if jerr := jnl.RecordAttempt(entry.Name, cfgName, attempt+1, err); jerr != nil {
-				return nil, errors.Join(err, fmt.Errorf("journal attempt: %w", jerr))
-			}
-		}
-		if attempt+1 >= budget {
-			if budget > 1 {
-				return nil, fmt.Errorf("attempt %d/%d: %w", attempt+1, budget, err)
-			}
-			return nil, err
-		}
-		var backoff time.Duration
-		if opts != nil {
-			backoff = opts.RetryBackoff
-		}
-		time.Sleep(retrySleep(backoff, attempt-start))
-	}
-}
-
-// RunAll simulates every entry under every named configuration, in
-// parallel across runs (each simulation is single-threaded and
-// independent). Equivalent to RunAllWith with zero options.
-func RunAll(entries []workloads.Entry, scale workloads.Scale, cfgNames []string) (Results, error) {
-	return RunAllWith(entries, scale, cfgNames, nil)
-}
-
-// RunAllWith is RunAll with resilience options. Failures do not stop the
-// sweep: every run is attempted (or restored from the journal), all
-// errors are joined into the returned error, and the Results hold every
-// run that did succeed — callers get partial figures plus a full account
-// of what failed.
-func RunAllWith(entries []workloads.Entry, scale workloads.Scale, cfgNames []string, opts *RunOptions) (Results, error) {
-	type job struct {
-		entry workloads.Entry
-		cfg   string
-	}
-	var jobs []job
-	for _, e := range entries {
-		for _, c := range cfgNames {
-			jobs = append(jobs, job{e, c})
-		}
-	}
-	out := Results{}
-	var mu sync.Mutex
-	errs := make([]error, len(jobs))
-	record := func(j job, res *system.Result) {
-		mu.Lock()
-		if out[j.entry.Name] == nil {
-			out[j.entry.Name] = map[string]*system.Result{}
-		}
-		out[j.entry.Name][j.cfg] = res
-		mu.Unlock()
-	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		i, j := i, j
-		if opts != nil && opts.Journal != nil {
-			if res, ok := opts.Journal.Lookup(j.entry.Name, j.cfg); ok {
-				record(j, res)
-				if opts.Progress != nil {
-					opts.Progress.Restored(j.entry.Name, j.cfg, res.Stats.Cycles)
+			if res, ok := jnl.Lookup(r.entry.Name, r.cfgName); ok {
+				out[i] = res
+				if prog != nil {
+					prog.Restored(r.entry.Name, r.cfgName, res.Stats.Cycles)
 				}
 				continue
 			}
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if opts != nil && opts.Progress != nil {
-				opts.Progress.Start(j.entry.Name, j.cfg)
-			}
-			res, err := runAttempts(j.entry, scale, j.cfg, opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", j.entry.Name, j.cfg, err)
-				if opts != nil && opts.Progress != nil {
-					opts.Progress.Fail(j.entry.Name, j.cfg, err)
-				}
-				return
-			}
-			record(j, res)
-			if opts != nil && opts.Progress != nil {
-				opts.Progress.Done(j.entry.Name, j.cfg, res.Stats.Cycles)
-			}
-			if opts != nil && opts.Journal != nil {
-				if jerr := opts.Journal.Record(j.entry.Name, j.cfg, res); jerr != nil {
-					errs[i] = fmt.Errorf("%s/%s: journal: %w", j.entry.Name, j.cfg, jerr)
-				}
-			}
-		}()
+		todo = append(todo, i)
 	}
-	wg.Wait()
+	parallel(len(todo), 0, func(k, _ int) {
+		i := todo[k]
+		name, cfg := runs[i].entry.Name, runs[i].cfgName
+		if prog != nil {
+			prog.Start(name, cfg)
+		}
+		res, err := runOne(runs[i], scale, opts)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s/%s: %w", name, cfg, err)
+			if prog != nil {
+				prog.Fail(name, cfg, err)
+			}
+			return
+		}
+		out[i] = res
+		if prog != nil {
+			prog.Done(name, cfg, res.Stats.Cycles)
+		}
+		if jnl != nil {
+			if err := jnl.Record(name, cfg, res); err != nil {
+				errs[i] = fmt.Errorf("%s/%s: journal: %w", name, cfg, err)
+			}
+		}
+	})
 	return out, errors.Join(errs...)
+}
+
+// RunAllWith simulates every entry under every named configuration, in
+// parallel across runs (each simulation is single-threaded and
+// independent), with the given resilience options (nil for none).
+// Failures do not stop the sweep: every run is attempted (or restored
+// from the journal), all errors are joined into the returned error, and
+// the Results hold every run that did succeed — callers get partial
+// figures plus a full account of what failed.
+func RunAllWith(entries []workloads.Entry, scale workloads.Scale, cfgNames []string, opts *RunOptions) (Results, error) {
+	runs, cfgErr := grid(entries, cfgNames, nil)
+	res, err := sweep(runs, scale, opts)
+	out := Results{}
+	for i, r := range runs {
+		if res[i] == nil {
+			continue
+		}
+		if out[r.entry.Name] == nil {
+			out[r.entry.Name] = map[string]*system.Result{}
+		}
+		out[r.entry.Name][r.cfgName] = res[i]
+	}
+	return out, errors.Join(cfgErr, err)
 }
 
 // Figure holds one reproduced figure: execution time and energy, plus the
@@ -392,18 +357,9 @@ func Figure3With(scale workloads.Scale, opts *RunOptions) (*Figure, error) {
 	return buildFigure("Figure 3: microbenchmarks", entries, res), err
 }
 
-// Figure4 reproduces Figure 4: UTS, BC 1-4, PR 1-4 under all six
-// configurations.
-func Figure4(scale workloads.Scale) (*Figure, error) {
-	fig, err := Figure4With(scale, nil)
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
-}
-
-// Figure4With is Figure4 with resilience options; like Figure3With it
-// returns the partial figure alongside any joined error.
+// Figure4With reproduces Figure 4: UTS, BC 1-4, PR 1-4 under all six
+// configurations. Like Figure3With it returns the partial figure
+// alongside any joined error.
 func Figure4With(scale workloads.Scale, opts *RunOptions) (*Figure, error) {
 	entries := workloads.Benchmarks()
 	res, err := RunAllWith(entries, scale, ConfigOrder, opts)
@@ -422,38 +378,19 @@ type Figure1Row struct {
 // annotations honoured (DRFrlx) — and the speedup is reported.
 func Figure1(scale workloads.Scale) ([]Figure1Row, error) {
 	apps := workloads.Figure1Apps()
-	type res struct {
-		idx     int
-		sc, rlx int64
-		err     error
+	var runs []run
+	for _, app := range apps {
+		runs = append(runs,
+			run{entry: app, cfgName: "SC", cfg: memsys.Discrete(core.DRF0)},
+			run{entry: app, cfgName: "relaxed", cfg: memsys.Discrete(core.DRFrlx)})
 	}
-	ch := make(chan res, len(apps))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, app := range apps {
-		i, app := i, app
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem }()
-			scRes, err := system.RunTrace(memsys.Discrete(core.DRF0), app.Build(scale))
-			if err != nil {
-				ch <- res{err: fmt.Errorf("%s SC: %w", app.Name, err)}
-				return
-			}
-			rlxRes, err := system.RunTrace(memsys.Discrete(core.DRFrlx), app.Build(scale))
-			if err != nil {
-				ch <- res{err: fmt.Errorf("%s relaxed: %w", app.Name, err)}
-				return
-			}
-			ch <- res{idx: i, sc: scRes.Stats.Cycles, rlx: rlxRes.Stats.Cycles}
-		}()
+	res, err := sweep(runs, scale, nil)
+	if err != nil {
+		return nil, err
 	}
 	rows := make([]Figure1Row, len(apps))
-	for range apps {
-		r := <-ch
-		if r.err != nil {
-			return nil, r.err
-		}
-		rows[r.idx] = Figure1Row{App: apps[r.idx].Name, Speedup: float64(r.sc) / float64(r.rlx)}
+	for i, app := range apps {
+		rows[i] = Figure1Row{App: app.Name, Speedup: float64(res[2*i].Stats.Cycles) / float64(res[2*i+1].Stats.Cycles)}
 	}
 	return rows, nil
 }

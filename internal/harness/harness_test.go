@@ -142,7 +142,7 @@ func TestFigure3ShapeAndSummary(t *testing.T) {
 			}
 		}
 	}
-	fig4, err := Figure4(workloads.Test)
+	fig4, err := Figure4With(workloads.Test, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFigure3ShapeAndSummary(t *testing.T) {
 }
 
 func TestRunAllErrorPropagation(t *testing.T) {
-	_, err := RunAll(workloads.Micro()[:1], workloads.Test, []string{"BOGUS"})
+	_, err := RunAllWith(workloads.Micro()[:1], workloads.Test, []string{"BOGUS"}, nil)
 	if err == nil {
 		t.Fatal("bogus config should error")
 	}

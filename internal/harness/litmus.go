@@ -3,8 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"rats/internal/core"
 	"rats/internal/litmus"
@@ -57,16 +55,6 @@ type LitmusCaseResult struct {
 // not stop the sweep: every case is attempted, per-case errors land in
 // the results and are joined into the returned error.
 func LitmusSweep(suite []litmus.Case, opts LitmusSweepOptions) ([]LitmusCaseResult, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(suite) {
-		workers = len(suite)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	var reg *telemetry.Registry
 	var progress *obs.Progress
 	if opts.Run != nil {
@@ -75,23 +63,9 @@ func LitmusSweep(suite []litmus.Case, opts LitmusSweepOptions) ([]LitmusCaseResu
 	}
 
 	results := make([]LitmusCaseResult, len(suite))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = runLitmusCase(suite[i], w, opts, reg, progress)
-			}
-		}()
-	}
-	for i := range suite {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	parallel(len(suite), opts.Workers, func(i, w int) {
+		results[i] = runLitmusCase(suite[i], w, opts, reg, progress)
+	})
 
 	var errs []error
 	for i := range results {

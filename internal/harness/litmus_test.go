@@ -148,3 +148,37 @@ func TestLitmusSweepTheoremOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestLitmusSweepWorkerIndices: the pool hands every check a suite worker
+// index below min(Workers, len(suite)), and results come back in suite
+// order — over the whole catalog with two workers, and with more workers
+// than cases.
+func TestLitmusSweepWorkerIndices(t *testing.T) {
+	for _, tc := range []struct {
+		suite   []litmus.Case
+		workers int
+	}{
+		{litmus.Suite(), 2},
+		{smallSuite()[:2], 8},
+	} {
+		reg := telemetry.NewRegistry()
+		results, err := LitmusSweep(tc.suite, LitmusSweepOptions{Workers: tc.workers, Run: &RunOptions{Checks: reg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := int64(min(tc.workers, len(tc.suite)))
+		for i, r := range results {
+			if r.Case.Prog.Name != tc.suite[i].Prog.Name {
+				t.Fatalf("workers=%d: result %d is %s, want %s", tc.workers, i, r.Case.Prog.Name, tc.suite[i].Prog.Name)
+			}
+			if len(r.Checks) == 0 {
+				t.Errorf("workers=%d: %s registered no checks", tc.workers, r.Case.Prog.Name)
+			}
+			for _, c := range r.Checks {
+				if w := c.Snapshot().SuiteWorker; w < 0 || w >= limit {
+					t.Errorf("workers=%d: %s/%s ran on worker %d, want [0,%d)", tc.workers, r.Case.Prog.Name, c.Model(), w, limit)
+				}
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +16,7 @@ import (
 // just the first, while still returning the runs that succeeded.
 func TestRunAllAggregatesErrors(t *testing.T) {
 	entries := workloads.Micro()[:1]
-	res, err := RunAll(entries, workloads.Test, []string{"XD0", "GD0", "XD1"})
+	res, err := RunAllWith(entries, workloads.Test, []string{"XD0", "GD0", "XD1"}, nil)
 	if err == nil {
 		t.Fatal("expected an error for the two bogus configs")
 	}
@@ -42,7 +41,7 @@ func TestRunAllRecoversPanics(t *testing.T) {
 		Name:  "bomb",
 		Build: func(workloads.Scale) *trace.Trace { panic("kaboom") },
 	}
-	res, err := RunAll([]workloads.Entry{bomb, good}, workloads.Test, []string{"GD0"})
+	res, err := RunAllWith([]workloads.Entry{bomb, good}, workloads.Test, []string{"GD0"}, nil)
 	if err == nil {
 		t.Fatal("expected the panicking workload to surface as an error")
 	}
@@ -190,173 +189,30 @@ func TestFigureWithPartialResults(t *testing.T) {
 	}
 }
 
-// TestRetriesRecoverFlakyRun makes a trace builder panic on its first
-// two calls and succeed on the third, and asserts Retries turns the
-// flaky pair into a success — with the attempts visible in the journal.
-func TestRetriesRecoverFlakyRun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-
-	good := workloads.Micro()[0]
-	var calls atomic.Int64
-	flaky := workloads.Entry{
-		Name: "flaky",
-		Build: func(s workloads.Scale) *trace.Trace {
-			if calls.Add(1) < 3 {
-				panic("transient build failure")
-			}
-			return good.Build(s)
-		},
-	}
-	res, err := RunAllWith([]workloads.Entry{flaky}, workloads.Test, []string{"GD0"}, &RunOptions{
-		Journal:      j,
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("flaky run should have recovered on the third attempt: %v", err)
-	}
-	if res["flaky"]["GD0"] == nil {
-		t.Fatal("recovered run missing from results")
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("builder called %d times, want 3", got)
-	}
-	if n, last := j.Attempts("flaky", "GD0"); n != 2 || !strings.Contains(last, "transient") {
-		t.Errorf("journal attempts = (%d, %q), want 2 transient failures", n, last)
-	}
-}
-
-// TestRetrySleepNeverOverflows: large attempt numbers must saturate at
-// the 5s cap (plus jitter), not overflow the shift into a negative
-// duration or panic computing the jitter.
-func TestRetrySleepNeverOverflows(t *testing.T) {
-	const max = 5*time.Second + 5*time.Second/2
-	for _, n := range []int{0, 1, 6, 37, 63, 200} {
-		for _, base := range []time.Duration{0, 100 * time.Millisecond, time.Hour} {
-			d := retrySleep(base, n)
-			if d <= 0 || d > max+time.Hour/2 {
-				t.Errorf("retrySleep(%s, %d) = %s, want positive and capped", base, n, d)
-			}
-			if base <= 100*time.Millisecond && d > max {
-				t.Errorf("retrySleep(%s, %d) = %s, want <= %s", base, n, d, max)
-			}
-		}
-	}
-}
-
-// TestRetryableClassifiesBySentinel: a deterministic failure whose
-// message happens to contain "timeout" (here, the workload's own name)
-// must not look transient and burn the retry budget.
-func TestRetryableClassifiesBySentinel(t *testing.T) {
-	var calls atomic.Int64
-	broken := workloads.Entry{
-		Name: "timeout-stress",
-		Build: func(workloads.Scale) *trace.Trace {
-			calls.Add(1)
-			return nil // "workload timeout-stress built a nil trace"
-		},
-	}
-	_, err := RunAllWith([]workloads.Entry{broken}, workloads.Test, []string{"GD0"}, &RunOptions{
-		Retries:      3,
-		RetryBackoff: time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("nil trace must fail the run")
-	}
-	if !strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("test premise broken: error %q no longer mentions timeout", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("message-matched failure retried: builder called %d times, want 1", got)
-	}
-}
-
-// TestRetriesOnTimeout: a genuine wall-clock timeout is classified
-// retryable through the sentinel and consumes the budget.
-func TestRetriesOnTimeout(t *testing.T) {
+// TestJournalResumesAfterTimeout: a run that timed out under a journal
+// is not recorded, so a rerun on the same journal re-simulates it — and
+// succeeds once the cause (here, a wedged warp) is gone.
+func TestJournalResumesAfterTimeout(t *testing.T) {
 	spec, err := fault.Parse("wedge:warp=0,from=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := workloads.Micro()[0]
-	var calls atomic.Int64
-	counted := workloads.Entry{
-		Name: "wedged",
-		Build: func(s workloads.Scale) *trace.Trace {
-			calls.Add(1)
-			return base.Build(s)
-		},
-	}
-	_, err = RunAllWith([]workloads.Entry{counted}, workloads.Test, []string{"GD0"}, &RunOptions{
-		Timeout:        80 * time.Millisecond,
-		Faults:         spec,
-		WatchdogWindow: -1,
-		Retries:        1,
-		RetryBackoff:   time.Millisecond,
-	})
-	if err == nil || !strings.Contains(err.Error(), "attempt 2/2") {
-		t.Fatalf("error = %v, want budget exhausted at attempt 2/2", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("wedged run attempted %d times, want 2 (timeout is retryable)", got)
-	}
-}
-
-// TestRetriesNotForDeterministicFailures asserts a failure that is
-// neither a panic nor a timeout is not retried, whatever the budget.
-func TestRetriesNotForDeterministicFailures(t *testing.T) {
-	var calls atomic.Int64
-	broken := workloads.Entry{
-		Name: "nil-trace",
-		Build: func(workloads.Scale) *trace.Trace {
-			calls.Add(1)
-			return nil
-		},
-	}
-	_, err := RunAllWith([]workloads.Entry{broken}, workloads.Test, []string{"GD0"}, &RunOptions{
-		Retries:      5,
-		RetryBackoff: time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("nil trace must fail the run")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("deterministic failure retried: builder called %d times, want 1", got)
-	}
-}
-
-// TestRetriesExhaustionSurvivesResume exhausts a pair's retry budget in
-// one sweep and asserts a resumed sweep (same journal) fails the pair
-// immediately instead of burning the attempts again.
-func TestRetriesExhaustionSurvivesResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	var calls atomic.Int64
-	bomb := workloads.Entry{
-		Name: "bomb",
-		Build: func(workloads.Scale) *trace.Trace {
-			calls.Add(1)
-			panic("kaboom")
-		},
-	}
-	opts := func(j *Journal) *RunOptions {
-		return &RunOptions{Journal: j, Retries: 1, RetryBackoff: time.Millisecond}
-	}
+	entries := workloads.Micro()[:1]
+	name := entries[0].Name
 
 	j1, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunAllWith([]workloads.Entry{bomb}, workloads.Test, []string{"GD0"}, opts(j1))
-	if err == nil || !strings.Contains(err.Error(), "attempt 2/2") {
-		t.Fatalf("first sweep error = %v, want exhausted attempt 2/2", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("first sweep ran %d attempts, want 2", got)
+	_, err = RunAllWith(entries, workloads.Test, []string{"GD0"}, &RunOptions{
+		Journal:        j1,
+		Timeout:        100 * time.Millisecond,
+		Faults:         spec,
+		WatchdogWindow: -1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("wedged sweep error = %v, want a wall-clock timeout", err)
 	}
 	j1.Close()
 
@@ -365,29 +221,39 @@ func TestRetriesExhaustionSurvivesResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if n, _ := j2.Attempts("bomb", "GD0"); n != 2 {
-		t.Fatalf("reloaded journal reports %d attempts, want 2", n)
+	if got := j2.Loaded(); got != 0 {
+		t.Fatalf("journal restored %d runs after a timeout, want 0", got)
 	}
-	_, err = RunAllWith([]workloads.Entry{bomb}, workloads.Test, []string{"GD0"}, opts(j2))
-	if err == nil || !strings.Contains(err.Error(), "exhausted") {
-		t.Fatalf("resumed sweep error = %v, want a budget-exhausted refusal", err)
+	res, err := RunAllWith(entries, workloads.Test, []string{"GD0"}, &RunOptions{Journal: j2})
+	if err != nil {
+		t.Fatalf("rerun without faults: %v", err)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("resumed sweep re-ran the pair: %d total attempts, want still 2", got)
+	if r := res[name]["GD0"]; r == nil || r.Read == nil {
+		t.Fatalf("%s/GD0 was not re-simulated on the rerun", name)
 	}
+	if _, ok := j2.Lookup(name, "GD0"); !ok {
+		t.Error("successful rerun was not journaled")
+	}
+}
 
-	// A bigger budget on resume grants exactly the difference.
-	j3, err := OpenJournal(path)
+// TestJournalSkipsAttemptLines: journals written before failed attempts
+// stopped being journaled hold "kind":"attempt" lines. They carry no
+// result and must not load as a completed (zero-stats) run.
+func TestJournalSkipsAttemptLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	line := `{"kind":"attempt","workload":"H","config":"GD0","attempt":1,"error":"run timed out"}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j3.Close()
-	_, err = RunAllWith([]workloads.Entry{bomb}, workloads.Test, []string{"GD0"},
-		&RunOptions{Journal: j3, Retries: 3, RetryBackoff: time.Millisecond})
-	if err == nil {
-		t.Fatal("bomb cannot succeed")
+	defer j.Close()
+	if _, ok := j.Lookup("H", "GD0"); ok {
+		t.Error("attempt line loaded as a completed run")
 	}
-	if got := calls.Load(); got != 4 {
-		t.Errorf("raised budget ran %d total attempts, want 4 (2 journaled + 2 new)", got)
+	if got := j.Loaded(); got != 0 {
+		t.Errorf("restored %d runs, want 0", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rats/internal/probe"
-	"rats/internal/sim/system"
 	"rats/internal/workloads"
 )
 
@@ -18,33 +17,22 @@ type StallRow struct {
 }
 
 // StallSweep runs one workload under each named configuration with a
-// stall-attribution sink attached, returning the per-config breakdown.
-// It shows where each consistency model spends its waiting time — e.g.
-// DRF0's consistency stalls melting away under DRFrlx while memory
-// stalls stay put.
+// stall-attribution sink attached, returning the per-config breakdown
+// in cfgNames order (the runs execute in parallel). It shows where each
+// consistency model spends its waiting time — e.g. DRF0's consistency
+// stalls melting away under DRFrlx while memory stalls stay put.
 func StallSweep(entry workloads.Entry, scale workloads.Scale, cfgNames []string) ([]StallRow, error) {
-	var rows []StallRow
-	for _, name := range cfgNames {
-		cfg, err := ConfigFor(name)
-		if err != nil {
-			return nil, err
-		}
-		sink := probe.NewStallSink()
-		hub := probe.NewHub()
-		hub.Attach(sink)
-		sys := system.New(cfg)
-		sys.AttachProbe(hub)
-		if err := sys.Load(entry.Build(scale)); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", entry.Name, name, err)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", entry.Name, name, err)
-		}
-		if err := hub.Close(); err != nil {
-			return nil, err
-		}
-		rows = append(rows, StallRow{Config: name, Cycles: res.Stats.Cycles, Totals: sink.ReasonTotals()})
+	runs, err := grid([]workloads.Entry{entry}, cfgNames, func() probe.Sink { return probe.NewStallSink() })
+	if err != nil {
+		return nil, err
+	}
+	res, err := sweep(runs, scale, nil)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]StallRow, len(runs))
+	for i, r := range runs {
+		rows[i] = StallRow{Config: r.cfgName, Cycles: res[i].Stats.Cycles, Totals: r.sink.(*probe.StallSink).ReasonTotals()}
 	}
 	return rows, nil
 }

@@ -7,6 +7,8 @@
 // after every run.
 package workloads
 
+import "fmt"
+
 // Address-space layout: disjoint regions per logical array so workloads
 // never alias.
 const (
@@ -34,6 +36,18 @@ const (
 	// Paper is the benchmark-harness configuration.
 	Paper
 )
+
+// ParseScale maps a -scale flag value, "test" or "paper", to its Scale.
+// Anything else is an error rather than a silent fall-back to Test.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "test":
+		return Test, nil
+	case "paper":
+		return Paper, nil
+	}
+	return Test, fmt.Errorf("unknown scale %q (want test or paper)", name)
+}
 
 // pick returns t for Test scale, p for Paper scale.
 func (s Scale) pick(t, p int) int {

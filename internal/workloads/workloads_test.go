@@ -209,3 +209,30 @@ func TestUTSHRFScopedFunctional(t *testing.T) {
 		t.Errorf("HRF scopes did not speed up UTS: %d vs %d", r1.Stats.Cycles, r0.Stats.Cycles)
 	}
 }
+
+// TestParseScale: only the exact flag values name a scale; a typo such
+// as "Paper" is an error, not a silent test-scale run.
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scale
+		ok   bool
+	}{
+		{"test", Test, true},
+		{"paper", Paper, true},
+		{"Paper", Test, false},
+		{"TEST", Test, false},
+		{"", Test, false},
+		{" paper", Test, false},
+		{"full", Test, false},
+	} {
+		got, err := ParseScale(tc.name)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseScale(%q) error = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("ParseScale(%q) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
