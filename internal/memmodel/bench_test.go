@@ -35,11 +35,12 @@ func benchEnumerate(b *testing.B, p *litmus.Program, opts EnumOptions) {
 }
 
 // BenchmarkEnumerate compares the naive enumerator against the default
-// parallel + sleep-set-reduced one on the catalog's enumeration-heavy
-// programs. IRIW is the independence showcase (4 threads, 2 locations:
-// the reduction collapses 6300 interleavings to 15); RefCounterTwo is
-// dominated by conflicting RMWs, bounding the reduction's overhead when
-// little commutes; Flags_2 sits in between.
+// sleep-set-reduced one (the search every checker runs) on the
+// catalog's enumeration-heavy programs. IRIW is the independence
+// showcase (4 threads, 2 locations: the reduction collapses 6300
+// interleavings to 15); RefCounterTwo is dominated by conflicting RMWs,
+// bounding the reduction's overhead when little commutes; Flags_2 sits
+// in between.
 func BenchmarkEnumerate(b *testing.B) {
 	for _, name := range []string{"IRIW", "Flags_2", "RefCounterTwo"} {
 		p := benchProgram(b, name)

@@ -12,11 +12,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rats/internal/litmus"
@@ -111,24 +108,23 @@ type EnumOptions struct {
 	Quantum bool
 	// Limit bounds the number of executions produced (0 = DefaultLimit).
 	Limit int
-	// Naive disables partial-order reduction and the parallel first-step
-	// fan-out, exploring every SC interleaving sequentially. It is the
-	// reference semantics the reduced enumerator is tested against; the
-	// analyses only need one representative per Mazurkiewicz trace, which
-	// the default mode guarantees.
+	// Naive disables partial-order reduction, exploring every SC
+	// interleaving. It is the reference semantics the reduced enumerator
+	// is tested against; the analyses only need one representative per
+	// Mazurkiewicz trace, which the default mode guarantees.
 	Naive bool
 	// Visit, when non-nil, streams each execution to the callback instead
 	// of accumulating a slice: Enumerate returns (nil, err) and holds no
 	// reference to delivered executions, so memory stays bounded by the
-	// consumer. The callback owns its *Execution. Unless Sequential (or
-	// Naive) is set, Visit is called concurrently from the first-step
-	// worker pool in an unspecified order. Returning ErrStop stops
-	// enumeration cleanly (Enumerate returns nil error); any other error
-	// aborts enumeration and is returned.
+	// consumer. The callback owns its *Execution. Visit is called on the
+	// caller's goroutine, in the search's deterministic branch order.
+	// Returning ErrStop stops enumeration cleanly (Enumerate returns nil
+	// error); any other error aborts enumeration and is returned.
 	Visit func(*Execution) error
-	// Sequential disables the parallel first-step fan-out while keeping
-	// partial-order reduction, so Visit callbacks arrive from one
-	// goroutine in the deterministic sequential branch order.
+	// Sequential selects nothing: Enumerate is always one sequential
+	// search on the caller's goroutine.
+	//
+	// Deprecated: ignored. Kept so existing callers still compile.
 	Sequential bool
 	// Recycle, when non-nil, supplies previously released executions for
 	// the enumerator to refill instead of allocating fresh ones — the
@@ -147,23 +143,22 @@ type EnumOptions struct {
 	// of its own so the disabled layout never changes.
 	Telemetry *telemetry.Check
 	// Ctx, when non-nil, cancels the search: the DFS polls the context at
-	// bounded strides (every checkStride nodes per worker), so a client
-	// disconnect or deadline stops enumeration promptly instead of
-	// exploring to exhaustion. A canceled search returns a *CancelError
-	// wrapping the context's error, so errors.Is(err,
-	// context.DeadlineExceeded) distinguishes deadlines from disconnects.
+	// bounded strides (every checkStride nodes), so a client disconnect
+	// or deadline stops enumeration promptly instead of exploring to
+	// exhaustion. A canceled search returns a *CancelError wrapping the
+	// context's error, so errors.Is(err, context.DeadlineExceeded)
+	// distinguishes deadlines from disconnects.
 	Ctx context.Context
 	// TransitionLimit, when positive, bounds the total DFS transitions
-	// taken across all workers (a work budget orthogonal to Limit's
-	// execution budget: it also caps searches whose interleavings mostly
-	// dead-end before recording). Enforced in checkStride-sized strides,
-	// so the real cutoff overshoots by at most checkStride transitions
-	// per worker. Tripping it returns a *LimitError with Phase
-	// "transitions".
+	// taken (a work budget orthogonal to Limit's execution budget: it
+	// also caps searches whose interleavings mostly dead-end before
+	// recording). Enforced in checkStride-sized strides, so the real
+	// cutoff overshoots by at most checkStride transitions. Tripping it
+	// returns a *LimitError with Phase "transitions".
 	TransitionLimit int64
 }
 
-// checkStride is how many DFS nodes a worker explores between
+// checkStride is how many DFS nodes a search explores between
 // cancellation/budget checkpoints. Small enough that a 100ms deadline is
 // honored within well under a millisecond of search time, large enough
 // that the checks vanish from profiles.
@@ -171,24 +166,20 @@ const checkStride = 256
 
 // budget is a search's request-scoped cancellation context and
 // transition budget: every checkEvery nodes the search polls the context
-// and debits the budget (shared by all workers of one search) by
-// checkStride. checkEvery is 0 when neither is configured, so an
-// unscoped search pays one integer compare per node and nothing else.
+// and debits the budget by checkStride. checkEvery is 0 when neither is
+// configured, so an unscoped search pays one integer compare per node
+// and nothing else.
 type budget struct {
 	ctx        context.Context
-	transLeft  *atomic.Int64
+	transLeft  int64
 	transLimit int64
 	checkEvery int
 	sinceCheck int
 }
 
 func newBudget(ctx context.Context, transLimit int64) budget {
-	b := budget{ctx: ctx, transLimit: transLimit}
-	if transLimit > 0 {
-		b.transLeft = new(atomic.Int64)
-		b.transLeft.Store(transLimit)
-	}
-	if ctx != nil || b.transLeft != nil {
+	b := budget{ctx: ctx, transLeft: transLimit, transLimit: transLimit}
+	if ctx != nil || transLimit > 0 {
 		b.checkEvery = checkStride
 	}
 	return b
@@ -207,14 +198,17 @@ func (b *budget) due() bool {
 // check returns the error that stops the search at a checkpoint, if any:
 // a *CancelError naming phase once the context is done, or a *LimitError
 // with Phase "transitions" once the budget is spent (flush, when non-nil,
-// first folds the search's counter shards into tel for its snapshot).
+// first folds the search's pending counters into tel for its snapshot).
 func (b *budget) check(prog, phase string, execs int64, start time.Time, tel *telemetry.Check, flush func()) error {
 	if b.ctx != nil {
 		if cerr := b.ctx.Err(); cerr != nil {
 			return &CancelError{Prog: prog, Phase: phase, Executions: execs, Elapsed: time.Since(start), Err: cerr}
 		}
 	}
-	if b.transLeft != nil && b.transLeft.Add(-checkStride) <= 0 {
+	if b.transLimit <= 0 {
+		return nil
+	}
+	if b.transLeft -= checkStride; b.transLeft <= 0 {
 		if flush != nil {
 			flush()
 		}
@@ -300,7 +294,7 @@ func newLimitError(prog, phase string, limit int, execs int64, start time.Time, 
 }
 
 // ErrStop, returned by an EnumOptions.Visit callback, stops enumeration
-// early without error: workers drain and Enumerate returns (nil, nil).
+// early without error: Enumerate returns (nil, nil).
 var ErrStop = errors.New("memmodel: stop enumeration")
 
 type enumerator struct {
@@ -313,14 +307,12 @@ type enumerator struct {
 	// por enables sleep-set partial-order reduction (off in Naive mode
 	// and for programs with more threads than the sleep bitmask holds).
 	por bool
-	// count is the execution counter shared across the parallel workers;
-	// it enforces Limit globally so the reduced enumerator errors exactly
-	// when the sequential one would (total recorded executions > Limit).
-	count *atomic.Int64
-	// stop is the shared early-abort flag: set on Visit-requested stop,
-	// Visit error, or limit overrun, it makes every worker unwind its
-	// search promptly instead of exploring to exhaustion.
-	stop *atomic.Bool
+	// count is the number of executions recorded; Limit bounds it.
+	count int64
+	// stop is the early-abort flag: set on Visit-requested stop, Visit
+	// error, or limit overrun, it unwinds the search promptly instead of
+	// exploring to exhaustion.
+	stop bool
 
 	// proto holds the static Event fields (ID, thread, op, TPos=-1);
 	// record copies it wholesale and fills in per-execution values.
@@ -345,33 +337,28 @@ type enumerator struct {
 	// keyBuf is the reusable scratch for building result keys in record;
 	// keyIntern dedups the key strings (distinct final states are few, so
 	// interning makes key construction allocation-free in steady state).
-	// Both are per-worker: clone leaves them nil.
 	keyBuf    []byte
 	keyIntern map[string]string
 
 	execs []*Execution
 	err   error
 
-	// tel is the optional instrumentation block, shared by all clones
-	// (nil when disabled); start is the enumeration's wall-clock start,
-	// stamped once by Enumerate for LimitError diagnostics. Both live at
-	// the end of the struct so the disabled mode keeps the hot search
-	// state at the same offsets as the uninstrumented layout.
+	// tel is the optional instrumentation block (nil when disabled);
+	// start is the enumeration's wall-clock start, stamped once by
+	// Enumerate for LimitError diagnostics. Both live at the end of the
+	// struct so the disabled mode keeps the hot search state at the same
+	// offsets as the uninstrumented layout.
 	tel   *telemetry.Check
 	start time.Time
-	// transitions and sleepSkips are clone-local shards of the hot-loop
-	// counters, always incremented (a register add costs less than a
-	// nil check per transition) and flushed into tel by flushTel once
-	// per branch. clone starts fresh shards per worker.
+	// transitions and sleepSkips are pending hot-loop counters, always
+	// incremented (a register add costs less than a nil check per
+	// transition) and flushed into tel by flushTel at the end of the
+	// search or at a budget trip.
 	transitions int64
 	sleepSkips  int64
 
-	// budget is the request-scoped cancellation and transition budget,
-	// shared by all clones (sinceCheck is clone-local).
+	// budget is the request-scoped cancellation and transition budget.
 	budget
-	// fan, set only while runParallel expands the root, collects the
-	// first-step branches in place of exploring them.
-	fan *[]task
 }
 
 func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
@@ -379,8 +366,6 @@ func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 		machine: newMachine(p, opts.Quantum),
 		opts:    opts,
 		por:     !opts.Naive && len(p.Threads) <= 64,
-		count:   new(atomic.Int64),
-		stop:    new(atomic.Bool),
 		tel:     opts.Telemetry,
 		budget:  newBudget(opts.Ctx, opts.TransitionLimit),
 		pc:      make([]int, len(p.Threads)),
@@ -408,39 +393,13 @@ func newEnumerator(p *litmus.Program, opts EnumOptions) *enumerator {
 	return e
 }
 
-// clone copies the enumerator's full search state: runParallel's root
-// step clones itself once per first-step branch, after its leading no-ops
-// are consumed, so each branch explores an independent copy.
-func (e *enumerator) clone() *enumerator {
-	c := &enumerator{
-		machine: e.machine, opts: e.opts,
-		por: e.por, count: e.count, stop: e.stop,
-		tel: e.tel, start: e.start, budget: e.budget,
-		proto:   e.proto,
-		pc:      append([]int(nil), e.pc...),
-		mem:     append([]int64(nil), e.mem...),
-		lastW:   append([]int(nil), e.lastW...),
-		order:   append(make([]int, 0, 16), e.order...),
-		loaded:  append([]int64(nil), e.loaded...),
-		stored:  append([]int64(nil), e.stored...),
-		rf:      append([]int(nil), e.rf...),
-		random:  append([]bool(nil), e.random...),
-		present: append([]bool(nil), e.present...),
-		sleep:   e.sleep,
-	}
-	c.regs = make([][]int64, len(e.regs))
-	for t := range e.regs {
-		c.regs[t] = append([]int64(nil), e.regs[t]...)
-	}
-	return c
-}
-
 // Enumerate produces the SC executions of the program (or of its
 // quantum-equivalent program when opts.Quantum is set).
 //
-// By default it applies sleep-set partial-order reduction and fans the
-// first-step branches out over a worker pool: the result contains at
-// least one representative of every Mazurkiewicz trace (executions that
+// It is one depth-first search on the caller's goroutine, in a
+// deterministic branch order. By default it applies sleep-set
+// partial-order reduction: the result contains at least one
+// representative of every Mazurkiewicz trace (executions that
 // differ only in the order of non-conflicting accesses), so the set of
 // final states, reads-from choices, per-event values, and every relation
 // the analyses derive (conflict order, so1, hb1, races — all functions
@@ -461,113 +420,31 @@ func Enumerate(p *litmus.Program, opts EnumOptions) ([]*Execution, error) {
 	}
 	e := newEnumerator(p, opts)
 	e.start = time.Now()
-	if opts.Naive || opts.Sequential || len(p.Threads) < 2 {
-		e.step()
-		// A request trace linked via Telemetry.SetSpan gets one summary
-		// event with the final counters (read before flushTel zeroes the
-		// clone-local shards). Reading the span off the telemetry block
-		// keeps EnumOptions and the enumerator layout-identical to the
-		// untraced build — see the tel field's struct comment.
-		if sp := e.tel.Span(); sp != nil {
-			sp.Event("enumerated",
-				rtrace.Int("executions", e.count.Load()),
-				rtrace.Int("transitions", e.transitions),
-				rtrace.Int("sleep_skips", e.sleepSkips))
-		}
-		e.flushTel()
-		if e.err != nil {
-			return nil, e.err
-		}
-		return e.execs, nil
+	e.step()
+	// A request trace linked via Telemetry.SetSpan gets one summary event
+	// with the final counters (read before flushTel zeroes them). Reading
+	// the span off the telemetry block keeps EnumOptions and the
+	// enumerator layout-identical to the untraced build — see the tel
+	// field's struct comment.
+	if sp := e.tel.Span(); sp != nil {
+		sp.Event("enumerated",
+			rtrace.Int("executions", e.count),
+			rtrace.Int("transitions", e.transitions),
+			rtrace.Int("sleep_skips", e.sleepSkips))
 	}
-	return e.runParallel()
+	e.flushTel()
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.execs, nil
 }
 
-// flushTel folds the clone-local hot-loop counter shards into the shared
-// telemetry block (no-op when disabled).
+// flushTel folds the pending hot-loop counters into the telemetry block
+// (no-op when disabled).
 func (e *enumerator) flushTel() {
 	e.tel.AddTransitions(e.transitions)
 	e.tel.AddSleepSkips(e.sleepSkips)
 	e.transitions, e.sleepSkips = 0, 0
-}
-
-// task is one first-step branch of a parallel enumeration: the root's
-// state cloned with the branch's sleep set, and the move to make from it.
-type task struct {
-	c      *enumerator
-	t      int
-	inf    *opInfo
-	lv, sv int64
-}
-
-// runParallel explores the first-step branches on a worker pool: the
-// root step runs with fan set, so it consumes leading no-ops and computes
-// each branch's sleep set exactly as the sequential search would, but
-// exec hands every (thread, value-choice) branch over as a task instead
-// of recursing. The per-branch execution lists are concatenated in the
-// sequential branch order, so the output is deterministic and identical
-// to a sequential run of the reduced enumerator.
-func (e *enumerator) runParallel() ([]*Execution, error) {
-	var tasks []task
-	e.fan = &tasks
-	e.step()
-	e.fan = nil
-	if e.err != nil {
-		return nil, e.err
-	}
-	workers := make([]*enumerator, len(tasks))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	n := runtime.GOMAXPROCS(0)
-	if n > len(tasks) {
-		n = len(tasks)
-	}
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// When a request trace is linked on the telemetry block,
-			// each pool worker reports as an "enum.worker" child span
-			// with one "branch" event per explored first-step branch
-			// (clone-local transition shards, read before flushTel
-			// zeroes them; executions is the shared recorded total at
-			// event time). nil span = nil child = no per-branch work.
-			var wsp *rtrace.Span
-			if psp := e.tel.Span(); psp != nil {
-				wsp = psp.Child("enum.worker")
-				wsp.SetInt("worker", int64(w))
-			}
-			for i := range jobs {
-				tk := tasks[i]
-				c := tk.c
-				c.execOne(tk.t, tk.inf, tk.lv, tk.sv)
-				if wsp != nil {
-					wsp.Event("branch",
-						rtrace.Int("task", int64(i)),
-						rtrace.Int("executions", e.count.Load()),
-						rtrace.Int("transitions", c.transitions),
-						rtrace.Int("sleep_skips", c.sleepSkips))
-				}
-				c.flushTel()
-				workers[i] = c
-			}
-			wsp.End()
-		}(w)
-	}
-	for i := range tasks {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	out := e.execs
-	for _, c := range workers {
-		if c.err != nil {
-			return nil, c.err
-		}
-		out = append(out, c.execs...)
-	}
-	return out, nil
 }
 
 // filterSleep returns the sleeping threads that remain asleep after op
@@ -597,12 +474,12 @@ func (e *enumerator) filterSleep(sleep uint64, inf *opInfo) uint64 {
 
 // step is the DFS over interleavings (and quantum value choices).
 func (e *enumerator) step() {
-	if e.err != nil || e.stop.Load() {
+	if e.stop {
 		return
 	}
 	if e.checkEvery > 0 && e.due() {
-		if e.err = e.check(e.prog.Name, "enumeration", e.count.Load(), e.start, e.tel, e.flushTel); e.err != nil {
-			e.stop.Store(true)
+		if e.err = e.check(e.prog.Name, "enumeration", e.count, e.start, e.tel, e.flushTel); e.err != nil {
+			e.stop = true
 			return
 		}
 	}
@@ -670,11 +547,6 @@ func (e *enumerator) exec(t int, inf *opInfo) {
 	loadChoices, storeChoices := e.choices(inf)
 	for _, lv := range loadChoices {
 		for _, sv := range storeChoices {
-			if e.fan != nil {
-				c := e.clone()
-				*e.fan = append(*e.fan, task{c: c, t: t, inf: inf, lv: lv, sv: sv})
-				continue
-			}
 			e.execOne(t, inf, lv, sv)
 			if e.err != nil {
 				return
@@ -714,17 +586,12 @@ func (e *enumerator) execOne(t int, inf *opInfo, qload, qstore int64) {
 }
 
 // record snapshots the completed execution and either streams it to the
-// Visit callback or appends it to the materialized list. The counter is
-// shared across the parallel workers, so Limit bounds the total across
-// all branches.
+// Visit callback or appends it to the materialized list.
 func (e *enumerator) record() {
-	if e.stop.Load() {
-		return
-	}
-	if n := e.count.Add(1); n > int64(e.opts.Limit) {
-		e.flushTel() // fold this worker's shard into the trip-time snapshot
-		e.err = newLimitError(e.prog.Name, "enumeration", e.opts.Limit, n-1, e.start, e.tel)
-		e.stop.Store(true)
+	if e.count++; e.count > int64(e.opts.Limit) {
+		e.flushTel() // fold the pending counters into the trip-time snapshot
+		e.err = newLimitError(e.prog.Name, "enumeration", e.opts.Limit, e.count-1, e.start, e.tel)
+		e.stop = true
 		return
 	}
 	e.tel.IncEnumerated()
@@ -792,7 +659,7 @@ func (e *enumerator) record() {
 			if !errors.Is(err, ErrStop) {
 				e.err = err
 			}
-			e.stop.Store(true)
+			e.stop = true
 		}
 		return
 	}

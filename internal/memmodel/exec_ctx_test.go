@@ -72,7 +72,8 @@ func TestCheckProgramCtxPreCancelled(t *testing.T) {
 
 // TestCheckProgramTransitionLimit checks that the transition budget trips
 // as a *LimitError with phase "transitions" even when the execution
-// limit is far away.
+// limit is far away, both in a check and in a direct default-mode
+// Enumerate (where the trip is also deterministic across runs).
 func TestCheckProgramTransitionLimit(t *testing.T) {
 	p := contendedProgram(7, 3)
 	_, err := CheckProgramWith(p, core.DRFrlx, CheckOptions{
@@ -88,5 +89,10 @@ func TestCheckProgramTransitionLimit(t *testing.T) {
 	}
 	if !errors.Is(err, ErrLimit) {
 		t.Errorf("transition LimitError must satisfy errors.Is(err, ErrLimit)")
+	}
+
+	le = enumerateTrip(t, p.Under(core.DRFrlx), EnumOptions{Quantum: true, TransitionLimit: 10_000, Limit: 1 << 30})
+	if le.Phase != "transitions" {
+		t.Errorf("enumerate phase: got %q, want %q", le.Phase, "transitions")
 	}
 }

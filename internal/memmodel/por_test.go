@@ -98,9 +98,9 @@ func TestPORMatchesNaiveOnCatalog(t *testing.T) {
 	}
 }
 
-// TestEnumerateDeterministic pins the parallel fan-out's determinism:
-// repeated runs must produce the identical ordered execution list (the
-// per-branch lists are concatenated in sequential branch order).
+// TestEnumerateDeterministic pins the search's determinism: repeated
+// runs must produce the identical ordered execution list, in the one
+// search's branch order.
 func TestEnumerateDeterministic(t *testing.T) {
 	progs := []*litmus.Program{
 		twoByTwo(),

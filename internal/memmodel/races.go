@@ -348,7 +348,7 @@ func CheckProgramWith(p0 *litmus.Program, m core.Model, opts CheckOptions) (*Ver
 	an := NewAnalyzer()
 	var spare *Execution
 	eo := EnumOptions{
-		Quantum: true, Sequential: true, Limit: opts.Limit, Telemetry: tel,
+		Quantum: true, Limit: opts.Limit, Telemetry: tel,
 		Ctx: opts.Ctx, TransitionLimit: opts.TransitionLimit,
 		Recycle: func() *Execution {
 			ex := spare

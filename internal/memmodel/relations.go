@@ -44,8 +44,7 @@ type Relations struct {
 // per execution. The *Relations and *Analysis it returns borrow the
 // arena: they are valid until the next BuildRelations/Analyze call on the
 // same Analyzer. An Analyzer must not be used from multiple goroutines
-// concurrently; the streaming CheckProgram pipeline gives each analysis
-// worker its own.
+// concurrently; each streaming CheckProgram check owns its own.
 type Analyzer struct {
 	prog *litmus.Program
 	lay  eventLayout

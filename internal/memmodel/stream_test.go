@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"rats/internal/core"
@@ -15,8 +14,7 @@ import (
 // Enumerate delivers for the quantum-equivalent program under eo, each
 // classified by a fresh Analyze, races and final states collected into
 // sets keyed by their descriptions. Execs is the number of executions
-// delivered. Enumerate's default fan-out calls Visit concurrently, so a
-// mutex serializes the set updates.
+// delivered.
 func referenceVerdict(t *testing.T, p0 *litmus.Program, m core.Model, eo EnumOptions) *Verdict {
 	t.Helper()
 	kinds := []RaceKind{DataRace}
@@ -25,12 +23,9 @@ func referenceVerdict(t *testing.T, p0 *litmus.Program, m core.Model, eo EnumOpt
 	}
 	v := &Verdict{Prog: p0.Name, Model: m, Legal: true, Races: map[RaceKind][]string{}, SCResults: map[string]bool{}}
 	sets := map[RaceKind]map[string]bool{}
-	var mu sync.Mutex
 	eo.Quantum = true
 	eo.Visit = func(ex *Execution) error {
 		a := Analyze(ex)
-		mu.Lock()
-		defer mu.Unlock()
 		v.Execs++
 		v.SCResults[ex.ResultKey()] = true
 		for _, k := range kinds {
@@ -94,8 +89,7 @@ func TestStreamingRecyclesExecutions(t *testing.T) {
 	visits := 0
 	var spare *Execution
 	_, err := Enumerate(p.Prog.Under(core.DRFrlx), EnumOptions{
-		Quantum:    true,
-		Sequential: true,
+		Quantum: true,
 		Recycle: func() *Execution {
 			ex := spare
 			spare = nil
@@ -128,8 +122,7 @@ func TestStreamingStopsOnErrStop(t *testing.T) {
 	}
 	visits := 0
 	execs, err := Enumerate(p.Prog.Under(core.DRFrlx), EnumOptions{
-		Quantum:    true,
-		Sequential: true,
+		Quantum: true,
 		Visit: func(ex *Execution) error {
 			visits++
 			if visits == 3 {
@@ -153,9 +146,10 @@ func TestStreamingStopsOnErrStop(t *testing.T) {
 // random programs whose naive enumeration exceeds the execution limit
 // (the trailing seeds of TestTheoremPropertyRandom): the streaming
 // pipeline must complete under partial-order reduction and agree, Execs
-// included, with the reference built on Enumerate's default parallel
-// first-step fan-out instead of the pipeline's sequential Visit/Recycle
-// path.
+// included, with the reference: the same sequential reduced enumerator,
+// but each execution classified by a fresh Analyze, so the reference is
+// independent of the pipeline's Analyzer arena, Recycle and
+// partialVerdict.
 func TestStreamingNaiveIntractableSeeds(t *testing.T) {
 	for _, seed := range []int64{346, 960, 5861} {
 		p := randomProgram(seed)

@@ -162,9 +162,8 @@ func (c *Check) TraceID() string {
 
 // SetSpan links (or, with nil, unlinks) the request-trace span covering
 // the check's current enumeration phase. While linked, the enumerator
-// emits telemetry-fed span events onto it: the sequential path's
-// "enumerated" summary, and per-worker "enum.worker" children when
-// Enumerate fans out. The caller owns the span's lifetime: unlink before
+// emits telemetry-fed span events onto it: one "enumerated" summary per
+// Enumerate call. The caller owns the span's lifetime: unlink before
 // ending it.
 func (c *Check) SetSpan(sp *rtrace.Span) {
 	if c != nil {
@@ -255,17 +254,17 @@ func (c *Check) IncSleepSkip() {
 	}
 }
 
-// AddTransitions folds in a worker-local transition count. The
-// enumerator's hot loops count into plain per-clone fields and flush
-// once per branch, so the per-transition cost is a register increment
-// in both modes rather than a pointer load and branch.
+// AddTransitions folds in a search-local transition count. The
+// enumerator's hot loops count into plain fields and flush once per
+// search (or at a budget trip), so the per-transition cost is a register
+// increment in both modes rather than a pointer load and branch.
 func (c *Check) AddTransitions(n int64) {
 	if c != nil && n != 0 {
 		c.transitions.Add(n)
 	}
 }
 
-// AddSleepSkips folds in a worker-local sleep-set skip count.
+// AddSleepSkips folds in a search-local sleep-set skip count.
 func (c *Check) AddSleepSkips(n int64) {
 	if c != nil && n != 0 {
 		c.sleepSkips.Add(n)

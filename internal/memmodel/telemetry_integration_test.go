@@ -99,9 +99,36 @@ func TestCheckTelemetryVerdictUnchanged(t *testing.T) {
 	}
 }
 
+// enumerateTrip runs a default-mode, instrumented Enumerate of p twice,
+// expecting a budget trip each time, and checks the trip is deterministic:
+// Executions and the trip-time telemetry's Transitions agree across the
+// two runs. It returns the first run's *LimitError.
+func enumerateTrip(t *testing.T, p *litmus.Program, opts EnumOptions) *LimitError {
+	t.Helper()
+	var first *LimitError
+	for run := 0; run < 2; run++ {
+		opts.Telemetry = telemetry.NewCheck(p.Name, "enumerate")
+		_, err := Enumerate(p, opts)
+		var le *LimitError
+		if !errors.As(err, &le) {
+			t.Fatalf("%s run %d: want *LimitError, got %v", p.Name, run, err)
+		}
+		if le.Telemetry == nil {
+			t.Fatalf("%s run %d: limit error carries no telemetry", p.Name, run)
+		}
+		if first == nil {
+			first = le
+		} else if le.Executions != first.Executions || le.Telemetry.Transitions != first.Telemetry.Transitions {
+			t.Errorf("%s: trip differs between runs: executions %d vs %d, transitions %d vs %d", p.Name,
+				first.Executions, le.Executions, first.Telemetry.Transitions, le.Telemetry.Transitions)
+		}
+	}
+	return first
+}
+
 // TestLimitErrorStructured: a budget trip surfaces the structured
 // *LimitError while preserving the ErrLimit sentinel, in both search
-// phases.
+// phases and from a direct default-mode Enumerate.
 func TestLimitErrorStructured(t *testing.T) {
 	c := telemetry.NewCheck("IRIW", core.DRFrlx.String())
 	_, err := CheckProgramWith(litmus.IRIW(), core.DRFrlx, CheckOptions{Limit: 3, Telemetry: c})
@@ -136,6 +163,11 @@ func TestLimitErrorStructured(t *testing.T) {
 	}
 	if sysTel.State() != telemetry.StateLimit {
 		t.Errorf("system state = %v, want limit", sysTel.State())
+	}
+
+	le = enumerateTrip(t, litmus.IRIW(), EnumOptions{Quantum: true, Limit: 3})
+	if le.Phase != "enumeration" || le.Limit != 3 || le.Executions != 3 {
+		t.Errorf("enumerate limit error fields = %+v", le)
 	}
 }
 
