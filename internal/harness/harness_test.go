@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 
 	"rats/internal/core"
 	"rats/internal/sim/memsys"
+	"rats/internal/sim/system"
+	"rats/internal/trace"
 	"rats/internal/workloads"
 )
 
@@ -206,6 +209,44 @@ func TestEnergyBreakdownPopulated(t *testing.T) {
 	for _, comp := range EnergyComponents {
 		if !strings.Contains(out, comp) {
 			t.Errorf("energy render missing %s", comp)
+		}
+	}
+}
+
+// traceDigest hashes everything of a trace the simulator could touch:
+// every field of every op (through %+v, so a field added later is
+// covered too), each warp's placement, the warp order and Init.
+func traceDigest(tr *trace.Trace) [32]byte {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s %d warps\n", tr.Name, len(tr.Warps))
+	for _, w := range tr.Warps {
+		fmt.Fprintf(h, "%+v\n", *w)
+	}
+	fmt.Fprintf(h, "%v\n", tr.Init) // fmt prints maps in key order
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestRunLeavesTraceUntouched pins what lets a sweep share one trace
+// across a workload's configurations: running a trace, under every
+// configuration in turn, leaves it bit-for-bit as built.
+func TestRunLeavesTraceUntouched(t *testing.T) {
+	entries := append(append(workloads.Micro(), workloads.Benchmarks()...), workloads.Figure1Apps()...)
+	for _, e := range entries {
+		tr := e.Build(workloads.Test)
+		want := traceDigest(tr)
+		for _, name := range ConfigOrder {
+			cfg, err := ConfigFor(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := system.RunTrace(cfg, tr); err != nil {
+				t.Fatalf("%s/%s: %v", e.Name, name, err)
+			}
+			if traceDigest(tr) != want {
+				t.Fatalf("%s: running under %s changed the trace", e.Name, name)
+			}
 		}
 	}
 }

@@ -49,6 +49,9 @@ type Array struct {
 	ways  int
 	lines []Line
 	tick  uint64
+	// n counts the lines in each readable state (n[Invalid] is unused),
+	// so CountState is O(1) and FlashInvalidate stops after the last one.
+	n [Owned + 1]int
 }
 
 // NewArray builds an array with the given geometry.
@@ -111,6 +114,8 @@ func (a *Array) Insert(lineAddr uint64, st State, dirty bool) (Victim, bool) {
 	// In-place update.
 	for i := range set {
 		if set[i].State != Invalid && set[i].Tag == lineAddr {
+			a.n[set[i].State]--
+			a.n[st]++
 			set[i].State = st
 			set[i].Dirty = set[i].Dirty || dirty
 			set[i].lru = a.tick
@@ -120,6 +125,7 @@ func (a *Array) Insert(lineAddr uint64, st State, dirty bool) (Victim, bool) {
 	// Free way.
 	for i := range set {
 		if set[i].State == Invalid {
+			a.n[st]++
 			set[i] = Line{Tag: lineAddr, State: st, Dirty: dirty, lru: a.tick}
 			return Victim{}, false
 		}
@@ -132,6 +138,8 @@ func (a *Array) Insert(lineAddr uint64, st State, dirty bool) (Victim, bool) {
 		}
 	}
 	v := Victim{LineAddr: set[vi].Tag, State: set[vi].State, Dirty: set[vi].Dirty}
+	a.n[v.State]--
+	a.n[st]++
 	set[vi] = Line{Tag: lineAddr, State: st, Dirty: dirty, lru: a.tick}
 	return v, true
 }
@@ -153,6 +161,7 @@ func (a *Array) Invalidate(lineAddr uint64) State {
 	for i := range set {
 		if set[i].State != Invalid && set[i].Tag == lineAddr {
 			st := set[i].State
+			a.n[st]--
 			set[i] = Line{}
 			return st
 		}
@@ -166,13 +175,17 @@ func (a *Array) Invalidate(lineAddr uint64) State {
 // and DeNovo (keep owned lines).
 func (a *Array) FlashInvalidate(keep func(Line) bool) int {
 	n := 0
-	for i := range a.lines {
-		if a.lines[i].State == Invalid {
+	left := a.n[Valid] + a.n[Owned]
+	for i := 0; left > 0; i++ {
+		st := a.lines[i].State
+		if st == Invalid {
 			continue
 		}
+		left--
 		if keep != nil && keep(a.lines[i]) {
 			continue
 		}
+		a.n[st]--
 		a.lines[i] = Line{}
 		n++
 	}
@@ -181,11 +194,8 @@ func (a *Array) FlashInvalidate(keep func(Line) bool) int {
 
 // CountState returns how many lines are in the given state.
 func (a *Array) CountState(st State) int {
-	n := 0
-	for i := range a.lines {
-		if a.lines[i].State == st {
-			n++
-		}
+	if st == Invalid {
+		return len(a.lines) - a.n[Valid] - a.n[Owned]
 	}
-	return n
+	return a.n[st]
 }

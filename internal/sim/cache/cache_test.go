@@ -143,7 +143,7 @@ func TestMSHRPanics(t *testing.T) {
 	m.Allocate(1, false, 1)
 	for _, fn := range []func(){
 		func() { m.Allocate(2, false, 2) }, // full
-		func() { m.Release(3, nil) },    // absent
+		func() { m.Release(3, nil) },       // absent
 	} {
 		func() {
 			defer func() {
@@ -249,4 +249,82 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	NewArray(0, 4)
+}
+
+// TestIndexMatchesMap drives Index against a map: random puts, gets and
+// deletes over keys that share their low bits (so probe runs collide,
+// wrap the table and get backward-shifted on delete), with more live
+// keys than the initial capacity so the table also grows.
+func TestIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x := NewIndex[int](4)
+	ref := map[uint64]int{}
+	keys := make([]uint64, 40)
+	for i := range keys {
+		keys[i] = uint64(i) << 20
+	}
+	for step := 0; step < 20000; step++ {
+		k := keys[rng.Intn(len(keys))]
+		want, present := ref[k]
+		switch r := rng.Intn(3); {
+		case r == 0:
+			got, ok := x.Delete(k)
+			if ok != present || got != want {
+				t.Fatalf("step %d: Delete(%#x) = %d,%v want %d,%v", step, k, got, ok, want, present)
+			}
+			delete(ref, k)
+		case r == 1 && len(ref) < 24:
+			x.Put(k, step)
+			ref[k] = step
+		default:
+			if got, ok := x.Get(k); ok != present || got != want {
+				t.Fatalf("step %d: Get(%#x) = %d,%v want %d,%v", step, k, got, ok, want, present)
+			}
+		}
+		if x.Len() != len(ref) {
+			t.Fatalf("step %d: Len = %d want %d", step, x.Len(), len(ref))
+		}
+	}
+	for k, want := range ref {
+		if got, ok := x.Get(k); !ok || got != want {
+			t.Fatalf("Get(%#x) = %d,%v want %d", k, got, ok, want)
+		}
+	}
+}
+
+// TestArrayStateCounts checks the per-state line counts that CountState
+// and FlashInvalidate rely on against a full scan, across random fills,
+// in-place state changes, evictions, invalidations and flash
+// invalidations.
+func TestArrayStateCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := NewArray(4, 2)
+	scan := func(st State) int {
+		n := 0
+		for _, l := range a.lines {
+			if l.State == st {
+				n++
+			}
+		}
+		return n
+	}
+	keepOwned := func(l Line) bool { return l.State == Owned }
+	for step := 0; step < 5000; step++ {
+		line := uint64(rng.Intn(24))
+		switch r := rng.Intn(20); {
+		case r < 12:
+			a.Insert(line, State(1+rng.Intn(2)), rng.Intn(2) == 0)
+		case r < 17:
+			a.Invalidate(line)
+		case r < 19:
+			a.FlashInvalidate(keepOwned)
+		default:
+			a.FlashInvalidate(nil)
+		}
+		for _, st := range []State{Invalid, Valid, Owned} {
+			if got, want := a.CountState(st), scan(st); got != want {
+				t.Fatalf("step %d: CountState(%v) = %d, scan %d", step, st, got, want)
+			}
+		}
+	}
 }

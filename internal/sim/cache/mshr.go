@@ -21,7 +21,8 @@ type Waiter struct {
 type MSHR struct {
 	capacity int
 	targets  int
-	entries  map[uint64]*MSHREntry
+	// entries indexes the live entries by line address.
+	entries *Index[*MSHREntry]
 	// free recycles released entries (and their waiter backing arrays);
 	// steady-state miss handling allocates nothing.
 	free []*MSHREntry
@@ -46,7 +47,7 @@ type MSHREntry struct {
 // NewMSHR builds an MSHR file with the given entry capacity and
 // per-entry target count.
 func NewMSHR(capacity, targets int) *MSHR {
-	return &MSHR{capacity: capacity, targets: targets, entries: make(map[uint64]*MSHREntry)}
+	return &MSHR{capacity: capacity, targets: targets, entries: NewIndex[*MSHREntry](capacity)}
 }
 
 // AttachProbe routes alloc/coalesce events to the hub, attributed to the
@@ -71,10 +72,13 @@ func (m *MSHR) Coalesce(e *MSHREntry, w Waiter, txn int64) {
 }
 
 // Lookup returns the entry for a line, or nil.
-func (m *MSHR) Lookup(lineAddr uint64) *MSHREntry { return m.entries[lineAddr] }
+func (m *MSHR) Lookup(lineAddr uint64) *MSHREntry {
+	e, _ := m.entries.Get(lineAddr)
+	return e
+}
 
 // Full reports whether a new entry cannot be allocated.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.capacity }
+func (m *MSHR) Full() bool { return m.entries.Len() >= m.capacity }
 
 // Allocate creates an entry for the line, attributed to the allocating
 // transaction (txn, 0 when none). The caller must have checked Full and
@@ -83,7 +87,7 @@ func (m *MSHR) Allocate(lineAddr uint64, wantOwnership bool, txn int64) *MSHREnt
 	if m.Full() {
 		panic("cache: MSHR allocate when full")
 	}
-	if m.entries[lineAddr] != nil {
+	if _, dup := m.entries.Get(lineAddr); dup {
 		panic("cache: MSHR double allocate")
 	}
 	var e *MSHREntry
@@ -95,7 +99,7 @@ func (m *MSHR) Allocate(lineAddr uint64, wantOwnership bool, txn int64) *MSHREnt
 	} else {
 		e = &MSHREntry{LineAddr: lineAddr, WantOwnership: wantOwnership}
 	}
-	m.entries[lineAddr] = e
+	m.entries.Put(lineAddr, e)
 	if h := m.probe; h != nil {
 		own := int64(0)
 		if wantOwnership {
@@ -111,11 +115,10 @@ func (m *MSHR) Allocate(lineAddr uint64, wantOwnership bool, txn int64) *MSHREnt
 // scratch sliced to zero length), and recycles the entry. The returned
 // slice aliases buf's backing array, not the entry's.
 func (m *MSHR) Release(lineAddr uint64, buf []Waiter) []Waiter {
-	e := m.entries[lineAddr]
-	if e == nil {
+	e, ok := m.entries.Delete(lineAddr)
+	if !ok {
 		panic("cache: MSHR release of absent entry")
 	}
-	delete(m.entries, lineAddr)
 	buf = append(buf, e.Waiters...)
 	for i := range e.Waiters {
 		e.Waiters[i] = Waiter{}
@@ -126,4 +129,4 @@ func (m *MSHR) Release(lineAddr uint64, buf []Waiter) []Waiter {
 }
 
 // Outstanding returns the number of live entries.
-func (m *MSHR) Outstanding() int { return len(m.entries) }
+func (m *MSHR) Outstanding() int { return m.entries.Len() }

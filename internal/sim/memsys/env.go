@@ -15,12 +15,12 @@ type Env struct {
 	Cfg   *Config
 	Mesh  *noc.Mesh
 	Stats *stats.Stats
-	// Values is the functional value layer, keyed by word address.
-	// Atomic operations read-modify-write it at the point (and simulated
-	// time) they perform — at the L2 bank under GPU coherence, at the
-	// owning L1 under DeNovo — so workload functional checks hold under
-	// every configuration.
-	Values map[uint64]int64
+	// Values is the functional value layer, indexed by word (see Read
+	// and Write). Atomic operations read-modify-write it at the point
+	// (and simulated time) they perform — at the L2 bank under GPU
+	// coherence, at the owning L1 under DeNovo — so workload functional
+	// checks hold under every configuration.
+	Values Values
 	// At schedules a deferred continuation to run at the given cycle
 	// (>= current). Same-cycle continuations must fire in scheduling
 	// order (FIFO) — protocol handlers rely on it.
@@ -39,14 +39,18 @@ type Env struct {
 // ApplyAtomic performs an atomic on the value layer and returns the old
 // value.
 func (e *Env) ApplyAtomic(addr uint64, aop core.AtomicOp, operand int64) int64 {
-	w := e.Cfg.WordAddr(addr)
-	old := e.Values[w]
-	e.Values[w] = aop.Apply(old, operand, 0)
+	w := addr / e.Cfg.WordSize
+	old := e.Values.Get(w)
+	e.Values.Set(w, aop.Apply(old, operand, 0))
 	return old
 }
 
-// Read returns the current functional value of a word.
-func (e *Env) Read(addr uint64) int64 { return e.Values[e.Cfg.WordAddr(addr)] }
+// Read returns the current functional value of the word holding a byte
+// address.
+func (e *Env) Read(addr uint64) int64 { return e.Values.Get(addr / e.Cfg.WordSize) }
+
+// Write sets the functional value of the word holding a byte address.
+func (e *Env) Write(addr uint64, v int64) { e.Values.Set(addr/e.Cfg.WordSize, v) }
 
 // Txn is one memory transaction handed from a compute unit to its L1:
 // either a coalesced per-line load, a coalesced per-line store, or a

@@ -89,13 +89,6 @@ func (b *L2Bank) send(cycle int64, dst, flits int, txn int64, p noc.Payload) {
 	b.env.Mesh.Send(cycle, noc.Message{Src: b.node, Dst: dst, Flits: flits, Txn: txn, Payload: p})
 }
 
-// NextWork implements the wake-hint contract for the driver's
-// fast-forward. An L2 bank has no clocked loop at all: it acts only
-// when Handle delivers a request (a mesh arrival) or a deferred
-// continuation fires (a scheduled event), and both of those force the
-// driver to process the cycle anyway. Hence always -1.
-func (b *L2Bank) NextWork(cycle int64) int64 { return -1 }
-
 // Handle processes one delivered network request at the given cycle.
 func (b *L2Bank) Handle(cycle int64, p noc.Payload) {
 	if f := b.env.Fault; f != nil {

@@ -18,7 +18,8 @@ import (
 func TestResultDoesNotPinSystem(t *testing.T) {
 	e := workloads.ByName("H")
 	s := New(memsys.Default(memsys.ProtoGPU, core.DRF0))
-	if err := s.Load(e.Build(workloads.Test)); err != nil {
+	tr := e.Build(workloads.Test)
+	if err := s.Load(tr); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Run()
@@ -27,10 +28,13 @@ func TestResultDoesNotPinSystem(t *testing.T) {
 	}
 	var addr uint64
 	var want int64
-	for a, v := range s.env.Values {
-		if v != 0 {
-			addr, want = a, v
-			break
+	for _, w := range tr.Warps {
+		for _, op := range w.Ops {
+			for _, a := range op.Addrs {
+				if v := s.env.Read(a); v != 0 && want == 0 {
+					addr, want = a, v
+				}
+			}
 		}
 	}
 	if want == 0 {
