@@ -49,11 +49,10 @@ func randomCommutativeTrace(seed int64) (*trace.Trace, map[uint64]int64) {
 func TestCrossConfigFunctionalEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		var finals []map[uint64]int64
-		tr0, expected := randomCommutativeTrace(seed)
-		_ = tr0
+		// One trace serves every configuration, as in a sweep.
+		tr, expected := randomCommutativeTrace(seed)
 		for _, proto := range []memsys.Protocol{memsys.ProtoGPU, memsys.ProtoDeNovo} {
 			for _, m := range core.Models() {
-				tr, _ := randomCommutativeTrace(seed) // fresh trace per run
 				res, err := RunTrace(memsys.Default(proto, m), tr)
 				if err != nil {
 					t.Logf("seed %d: %v", seed, err)
@@ -161,7 +160,6 @@ func TestStatsConservation(t *testing.T) {
 			if s.Cycles <= 0 {
 				return false
 			}
-			tr, _ = randomCommutativeTrace(seed) // rebuild: traces are single-use
 		}
 		return true
 	}
