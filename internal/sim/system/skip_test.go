@@ -153,9 +153,10 @@ func sleepTrace() *trace.Trace {
 
 // TestSkipEquivalenceSleepingCUs runs sleepTrace with idle CUs sleeping
 // (skipping on) and with every CU ticked every cycle (skipping off), under
-// every protocol and model, and once more with a wedge that starts while
-// warp 2's CU sleeps on its Join. Stats — issue stalls included — fault
-// tallies and the watchdog's firing cycle must match.
+// every protocol and model, with two MSHRs per L1 so that warp 1's loads
+// park its CU behind the coalescer head, and once more with a wedge that
+// starts while warp 2's CU sleeps on its Join. Stats — issue stalls
+// included — fault tallies and the watchdog's firing cycle must match.
 func TestSkipEquivalenceSleepingCUs(t *testing.T) {
 	run := func(cfg memsys.Config, skip bool) (stats.Stats, fault.Counts, error) {
 		s := New(cfg)
@@ -182,6 +183,8 @@ func TestSkipEquivalenceSleepingCUs(t *testing.T) {
 	}
 	for cfgName, cfg := range allConfigs() {
 		check(cfgName, cfg)
+		cfg.L1MSHRs = 2
+		check(cfgName+"/2-MSHRs", cfg)
 	}
 	cfg := memsys.Default(memsys.ProtoGPU, core.DRF0)
 	cfg.Faults = mustSpec(t, "wedge:warp=2,from=30")
