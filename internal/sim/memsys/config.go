@@ -175,9 +175,6 @@ func (c *Config) Nodes() int { return c.MeshWidth * c.MeshHeight }
 // LineAddr converts a byte address to a line number.
 func (c *Config) LineAddr(addr uint64) uint64 { return addr / c.LineSize }
 
-// WordAddr aligns a byte address down to its word.
-func (c *Config) WordAddr(addr uint64) uint64 { return addr / c.WordSize * c.WordSize }
-
 // HomeNode returns the node whose L2 bank owns the line (address
 // interleaved across all banks).
 func (c *Config) HomeNode(line uint64) int { return int(line % uint64(c.Nodes())) }
